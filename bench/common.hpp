@@ -6,8 +6,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +13,7 @@
 #include "core/sessions.hpp"
 #include "corpus/alexa.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/statistics.hpp"
 
 namespace mahimahi::bench {
@@ -123,31 +122,29 @@ class PerfReport {
   /// atomically — a crash mid-write never leaves CI a truncated baseline.
   /// Returns false (after warning on stderr) if the file cannot be written.
   bool write(const std::string& path) const {
-    std::ostringstream out;
-    out.precision(12);
-    out << "{\n  \"schema\": \"mahimahi-bench-v1\",\n  \"benchmarks\": [";
+    std::string out =
+        "{\n  \"schema\": \"mahimahi-bench-v1\",\n  \"benchmarks\": [";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& row = rows_[i];
-      out << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-          << json_escape(row.name) << "\", \"ns_per_op\": " << row.ns_per_op
-          << ", \"items_per_second\": " << row.items_per_second
-          << ", \"bytes_per_second\": " << row.bytes_per_second << "}";
+      util::append(out, i == 0 ? "" : ",", "\n    {\"name\": \"",
+                   util::Escaped{row.name}, "\", \"ns_per_op\": ",
+                   significant(row.ns_per_op), ", \"items_per_second\": ",
+                   significant(row.items_per_second),
+                   ", \"bytes_per_second\": ",
+                   significant(row.bytes_per_second), "}");
     }
-    out << "\n  ]\n}\n";
-    return util::atomic_write_file(path, out.str());
+    out += "\n  ]\n}\n";
+    return util::atomic_write_file(path, out);
   }
 
  private:
-  static std::string json_escape(const std::string& text) {
-    std::string escaped;
-    escaped.reserve(text.size());
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-      }
-      escaped += c;
-    }
-    return escaped;
+  /// Twelve significant digits ("%.12g"), not fixed precision: a tiny
+  /// ns/op keeps its resolution instead of rounding to the 0 the gate
+  /// reads as "not reported".
+  static std::string significant(double value) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.12g", value);
+    return buffer;
   }
 
   std::vector<Row> rows_;

@@ -1,8 +1,7 @@
 #include "experiment/checkpoint.hpp"
 
-#include <cstdio>
-
 #include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::experiment {
 namespace {
@@ -221,9 +220,7 @@ journal::Manifest build_manifest(const ExperimentSpec& spec,
   }
   cells += "probe=" + std::to_string(spec.probe_duration);
 
-  char hash[32];
-  std::snprintf(hash, sizeof hash, "%016llx",
-                static_cast<unsigned long long>(util::fnv1a(cells)));
+  const std::string hash = util::to_hex(util::fnv1a(cells));
 
   journal::Manifest manifest;
   manifest.set("name", spec.name);

@@ -1,126 +1,107 @@
 #include "experiment/report.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <array>
 
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace mahimahi::experiment {
 namespace {
 
-/// Fixed-precision double formatting — the determinism backbone of the
-/// report: printf of a finite double with a fixed precision is a pure
-/// function of the value, so byte-identical samples serialize to
-/// byte-identical text.
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
-}
+using util::append;
+using util::Escaped;
+using util::Fixed;
 
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
+/// The five PLT summary statistics (0 for an empty sample set), in the
+/// column order both the JSON and the CSV use.
+std::array<double, 5> plt_summary(const util::Samples& plt) {
+  if (plt.empty()) {
+    return {0, 0, 0, 0, 0};
   }
-  return escaped;
+  return {plt.median(), plt.mean(), plt.percentile(95), plt.min(), plt.max()};
 }
 
-void append_summary_fields(std::string& out, const util::Samples& plt) {
-  out += "\"plt_median_ms\": " + fmt(plt.empty() ? 0 : plt.median());
-  out += ", \"plt_mean_ms\": " + fmt(plt.empty() ? 0 : plt.mean());
-  out += ", \"plt_p95_ms\": " + fmt(plt.empty() ? 0 : plt.percentile(95));
-  out += ", \"plt_min_ms\": " + fmt(plt.empty() ? 0 : plt.min());
-  out += ", \"plt_max_ms\": " + fmt(plt.empty() ? 0 : plt.max());
+void append_samples(std::string& out, const util::Samples& samples) {
+  out += "[";
+  const auto& values = samples.values();
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    append(out, j == 0 ? "" : ", ", Fixed{values[j]});
+  }
+  out += "]";
 }
 
 }  // namespace
 
 std::string Report::to_json() const {
-  std::string out;
-  out += "{\n";
-  out += "  \"schema\": \"mahimahi-experiment-v1\",\n";
-  out += "  \"name\": \"" + json_escape(name) + "\",\n";
-  out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"loads_per_cell\": " + std::to_string(loads_per_cell) + ",\n";
-  out += "  \"total_cells\": " + std::to_string(total_cells) + ",\n";
-  out += "  \"shard\": \"" + std::to_string(shard_index) + "/" +
-         std::to_string(shard_count) + "\",\n";
+  std::string out = "{\n  \"schema\": \"mahimahi-experiment-v1\",\n";
+  append(out, "  \"name\": \"", Escaped{name}, "\",\n");
+  append(out, "  \"seed\": ", seed, ",\n");
+  append(out, "  \"loads_per_cell\": ", loads_per_cell, ",\n");
+  append(out, "  \"total_cells\": ", total_cells, ",\n");
+  append(out, "  \"shard\": \"", shard_index, "/", shard_count, "\",\n");
   if (interrupted) {
     out += "  \"interrupted\": true,\n";
   }
   out += "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"index\": " + std::to_string(cell.index);
-    out += ", \"site\": \"" + json_escape(cell.site) + "\"";
-    out += ", \"protocol\": \"" + json_escape(cell.protocol) + "\"";
-    out += ", \"shell\": \"" + json_escape(cell.shell) + "\"";
-    out += ", \"queue\": \"" + json_escape(cell.queue) + "\"";
-    out += ", \"cc\": \"" + json_escape(cell.cc) + "\"";
-    out += ", \"fleet\": \"" + json_escape(cell.fleet) + "\"";
-    out += ", \"fleet_sessions\": " + std::to_string(cell.fleet_sessions);
+    append(out, i == 0 ? "\n" : ",\n", "    {\"index\": ", cell.index);
+    append(out, ", \"site\": \"", Escaped{cell.site}, "\"");
+    append(out, ", \"protocol\": \"", Escaped{cell.protocol}, "\"");
+    append(out, ", \"shell\": \"", Escaped{cell.shell}, "\"");
+    append(out, ", \"queue\": \"", Escaped{cell.queue}, "\"");
+    append(out, ", \"cc\": \"", Escaped{cell.cc}, "\"");
+    append(out, ", \"fleet\": \"", Escaped{cell.fleet}, "\"");
+    append(out, ", \"fleet_sessions\": ", cell.fleet_sessions);
     if (fault_axis) {
-      out += ", \"fault\": \"" + json_escape(cell.fault) + "\"";
+      append(out, ", \"fault\": \"", Escaped{cell.fault}, "\"");
     }
     if (interrupted) {
-      out += ", \"loads_done\": " + std::to_string(cell.loads_done);
-      out += ", \"loads_expected\": " + std::to_string(cell.loads_expected);
+      append(out, ", \"loads_done\": ", cell.loads_done);
+      append(out, ", \"loads_expected\": ", cell.loads_expected);
     }
-    out += ", \"failed_loads\": " + std::to_string(cell.failed_loads);
-    out += ", ";
-    append_summary_fields(out, cell.plt_ms);
-    out += ", \"plt_ms\": [";
-    const auto& values = cell.plt_ms.values();
-    for (std::size_t j = 0; j < values.size(); ++j) {
-      out += j == 0 ? "" : ", ";
-      out += fmt(values[j]);
-    }
-    out += "]";
+    append(out, ", \"failed_loads\": ", cell.failed_loads);
+    const std::array<double, 5> plt = plt_summary(cell.plt_ms);
+    append(out, ", \"plt_median_ms\": ", Fixed{plt[0]});
+    append(out, ", \"plt_mean_ms\": ", Fixed{plt[1]});
+    append(out, ", \"plt_p95_ms\": ", Fixed{plt[2]});
+    append(out, ", \"plt_min_ms\": ", Fixed{plt[3]});
+    append(out, ", \"plt_max_ms\": ", Fixed{plt[4]});
+    out += ", \"plt_ms\": ";
+    append_samples(out, cell.plt_ms);
     if (fault_axis) {
-      out += ", \"objects_failed\": " + std::to_string(cell.objects_failed);
-      out += ", \"retries\": " + std::to_string(cell.retries);
-      out += ", \"timeouts\": " + std::to_string(cell.timeouts);
+      append(out, ", \"objects_failed\": ", cell.objects_failed);
+      append(out, ", \"retries\": ", cell.retries);
+      append(out, ", \"timeouts\": ", cell.timeouts);
       const util::Samples& deg = cell.degraded_plt_ms;
-      out += ", \"degraded_plt_median_ms\": " +
-             fmt(deg.empty() ? 0 : deg.median());
-      out += ", \"degraded_plt_ms\": [";
-      const auto& degraded = deg.values();
-      for (std::size_t j = 0; j < degraded.size(); ++j) {
-        out += j == 0 ? "" : ", ";
-        out += fmt(degraded[j]);
-      }
-      out += "]";
+      append(out, ", \"degraded_plt_median_ms\": ",
+             Fixed{deg.empty() ? 0 : deg.median()});
+      out += ", \"degraded_plt_ms\": ";
+      append_samples(out, deg);
     }
     // Worker-task failures surface in any report (fault axis or not);
     // healthy runs have none, so the key's absence keeps them byte-stable.
     if (!cell.load_errors.empty()) {
       out += ", \"load_errors\": [";
       for (std::size_t j = 0; j < cell.load_errors.size(); ++j) {
-        out += j == 0 ? "" : ", ";
-        out += "\"" + json_escape(cell.load_errors[j]) + "\"";
+        append(out, j == 0 ? "\"" : ", \"", Escaped{cell.load_errors[j]},
+               "\"");
       }
       out += "]";
     }
     if (cell.probe_ran) {
-      out += ", \"probe\": {\"queue_delay_p95_ms\": " +
-             fmt(cell.queue_delay_p95_ms, 3);
-      out += ", \"jain_index\": " + fmt(cell.jain_index);
+      append(out, ", \"probe\": {\"queue_delay_p95_ms\": ",
+             Fixed{cell.queue_delay_p95_ms, 3});
+      append(out, ", \"jain_index\": ", Fixed{cell.jain_index});
       out += ", \"flows\": [";
       for (std::size_t j = 0; j < cell.flows.size(); ++j) {
         const FlowResult& flow = cell.flows[j];
-        out += j == 0 ? "" : ", ";
-        out += "{\"cc\": \"" + json_escape(flow.controller) + "\"";
-        out += ", \"bytes\": " + std::to_string(flow.bytes_delivered);
-        out += ", \"throughput_bps\": " + fmt(flow.throughput_bps, 1);
-        out += ", \"share\": " + fmt(flow.share);
-        out += ", \"retransmissions\": " +
-               std::to_string(flow.retransmissions) + "}";
+        append(out, j == 0 ? "" : ", ", "{\"cc\": \"",
+               Escaped{flow.controller}, "\"");
+        append(out, ", \"bytes\": ", flow.bytes_delivered);
+        append(out, ", \"throughput_bps\": ", Fixed{flow.throughput_bps, 1});
+        append(out, ", \"share\": ", Fixed{flow.share});
+        append(out, ", \"retransmissions\": ", flow.retransmissions, "}");
       }
       out += "]}";
     }
@@ -128,7 +109,7 @@ std::string Report::to_json() const {
     // otherwise, like load_errors): the snapshot is already deterministic
     // JSON, so the report stays byte-stable under the same contract.
     if (!cell.metrics_json.empty()) {
-      out += ", \"metrics\": " + cell.metrics_json;
+      append(out, ", \"metrics\": ", cell.metrics_json);
     }
     out += "}";
   }
@@ -146,37 +127,28 @@ std::string Report::to_csv() const {
   }
   out += "\n";
   for (const CellResult& cell : cells) {
-    out += std::to_string(cell.index) + ",";
-    out += cell.site + "," + cell.protocol + "," + cell.shell + "," +
-           cell.queue + "," + cell.cc + "," + cell.fleet + "," +
-           std::to_string(cell.fleet_sessions) + ",";
-    out += std::to_string(cell.plt_ms.size()) + ",";
-    out += std::to_string(cell.failed_loads) + ",";
-    const util::Samples& plt = cell.plt_ms;
-    out += fmt(plt.empty() ? 0 : plt.median()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.mean()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.percentile(95)) + ",";
-    out += fmt(plt.empty() ? 0 : plt.min()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.max()) + ",";
+    append(out, cell.index, ",", cell.site, ",", cell.protocol, ",",
+           cell.shell, ",", cell.queue, ",", cell.cc, ",", cell.fleet, ",",
+           cell.fleet_sessions, ",", cell.plt_ms.size(), ",",
+           cell.failed_loads, ",");
+    for (const double stat : plt_summary(cell.plt_ms)) {
+      append(out, Fixed{stat}, ",");
+    }
     if (cell.probe_ran) {
-      out += fmt(cell.queue_delay_p95_ms, 3) + ",";
-      out += fmt(cell.jain_index) + ",";
-      std::string shares;
-      for (const FlowResult& flow : cell.flows) {
-        shares += shares.empty() ? "" : "|";
-        shares += flow.controller + ":" + fmt(flow.share, 4);
+      append(out, Fixed{cell.queue_delay_p95_ms, 3}, ",",
+             Fixed{cell.jain_index}, ",");
+      for (std::size_t j = 0; j < cell.flows.size(); ++j) {
+        append(out, j == 0 ? "" : "|", cell.flows[j].controller, ":",
+               Fixed{cell.flows[j].share, 4});
       }
-      out += shares;
     } else {
       out += ",,";
     }
     if (fault_axis) {
       const util::Samples& deg = cell.degraded_plt_ms;
-      out += "," + cell.fault;
-      out += "," + std::to_string(cell.objects_failed);
-      out += "," + std::to_string(cell.retries);
-      out += "," + std::to_string(cell.timeouts);
-      out += "," + fmt(deg.empty() ? 0 : deg.median());
+      append(out, ",", cell.fault, ",", cell.objects_failed, ",",
+             cell.retries, ",", cell.timeouts, ",",
+             Fixed{deg.empty() ? 0 : deg.median()});
     }
     out += "\n";
   }
@@ -188,11 +160,10 @@ std::string Report::to_bench_json() const {
   out += "{\n  \"schema\": \"mahimahi-bench-v1\",\n  \"benchmarks\": [";
   bool first = true;
   const auto add = [&](const std::string& row_name, double ns_per_op) {
-    out += first ? "\n" : ",\n";
+    append(out, first ? "\n" : ",\n", "    {\"name\": \"", Escaped{row_name},
+           "\", \"ns_per_op\": ", Fixed{ns_per_op, 1},
+           ", \"items_per_second\": 0, \"bytes_per_second\": 0}");
     first = false;
-    out += "    {\"name\": \"" + json_escape(row_name) +
-           "\", \"ns_per_op\": " + fmt(ns_per_op, 1) +
-           ", \"items_per_second\": 0, \"bytes_per_second\": 0}";
   };
   for (const CellResult& cell : cells) {
     std::string label = cell.site + "/" + cell.protocol + "/" + cell.shell +

@@ -31,7 +31,7 @@ struct RunOptions {
   /// When non-empty: every load task records a full obs trace, and each
   /// cell exports three artifacts into this directory — cell<index>.trace
   /// .json (Chrome trace-event / Perfetto), cell<index>.har (HAR 1.2) and
-  /// cell<index>.csv (time series, the mm_trace_dump input). Tracing
+  /// cell<index>.csv (time series, the `mm_trace` input). Tracing
   /// follows the same determinism contract as the report: one Tracer per
   /// task, buffers merged by load index, so artifact bytes are identical
   /// at any thread or shard count. Off (empty) = zero tracing overhead.
@@ -53,7 +53,7 @@ struct RunOptions {
   /// When non-empty: crash-safe execution. The directory receives a
   /// MANIFEST pinning the run's identity (spec/matrix/toolchain hashes), a
   /// journal.bin with one fsync'd checksummed record per completed task,
-  /// and an events.csv of runner-lifecycle events (mm_trace_dump input).
+  /// and an events.csv of runner-lifecycle events (`mm_trace dump` input).
   /// A fresh run (resume == false) starts the journal over.
   std::string journal_dir{};
   /// Replay journaled task results into their global-index slots and run

@@ -1,240 +1,24 @@
 #include "gate/bench_gate.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
+#include "util/statistics.hpp"
+
 namespace mahimahi::gate {
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal JSON reader — just enough for the bench/baseline schemas (no
-// unicode escapes, no nesting beyond what the schemas use). Kept local so
-// the gate has zero dependencies beyond the standard library.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type{Type::kNull};
-  bool boolean{false};
-  double number{0};
-  std::string string;
-  std::vector<JsonValue> array;
-  // Insertion-ordered object (duplicate keys rejected at parse time).
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_{text} {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) {
-      fail("trailing characters after the top-level value");
-    }
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    std::size_t line = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-      }
-    }
-    throw std::invalid_argument{"JSON error at line " + std::to_string(line) +
-                                ": " + message};
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_whitespace();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string{"expected '"} + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-      case 'f':
-        return parse_bool();
-      case 'n':
-        parse_literal("null");
-        return JsonValue{};
-      default:
-        return parse_number();
-    }
-  }
-
-  void parse_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      fail("malformed literal (expected '" + std::string{literal} + "')");
-    }
-    pos_ += literal.size();
-  }
-
-  JsonValue parse_bool() {
-    JsonValue value;
-    value.type = JsonValue::Type::kBool;
-    if (text_[pos_] == 't') {
-      parse_literal("true");
-      value.boolean = true;
-    } else {
-      parse_literal("false");
-    }
-    return value;
-  }
-
-  JsonValue parse_string() {
-    expect('"');
-    JsonValue value;
-    value.type = JsonValue::Type::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          fail("unterminated escape");
-        }
-        const char escaped = text_[pos_++];
-        switch (escaped) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          default:
-            fail(std::string{"unsupported escape '\\"} + escaped + "'");
-        }
-      }
-      value.string += c;
-    }
-    if (pos_ >= text_.size()) {
-      fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return value;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail(std::string{"unexpected character '"} + text_[start] + "'");
-    }
-    JsonValue value;
-    value.type = JsonValue::Type::kNumber;
-    try {
-      std::size_t consumed = 0;
-      const std::string token{text_.substr(start, pos_ - start)};
-      value.number = std::stod(token, &consumed);
-      if (consumed != token.size()) {
-        throw std::invalid_argument{"trailing junk"};
-      }
-    } catch (const std::exception&) {
-      fail("malformed number '" +
-           std::string{text_.substr(start, pos_ - start)} + "'");
-    }
-    return value;
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue value;
-    value.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') {
-        return value;
-      }
-      if (c != ',') {
-        fail("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue value;
-    value.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      JsonValue key = parse_string();
-      if (value.find(key.string) != nullptr) {
-        fail("duplicate object key '" + key.string + "'");
-      }
-      expect(':');
-      value.object.emplace_back(std::move(key.string), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') {
-        return value;
-      }
-      if (c != ',') {
-        fail("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_{0};
-};
-
-// ---------------------------------------------------------------------------
+using util::append;
+using util::Escaped;
+using util::Fixed;
+using util::fmt;
+using util::JsonValue;
 
 double number_field(const JsonValue& object, const std::string& key,
                     double fallback) {
@@ -284,20 +68,20 @@ std::vector<BenchRow> rows_from(const JsonValue& root,
   return rows;
 }
 
-std::string read_file_or_throw(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    throw std::invalid_argument{"cannot open " + path};
+/// Read `path` and parse it with `parse`; every error names the path.
+template <typename Parse>
+auto load_file(const std::string& path, Parse parse) {
+  try {
+    std::ifstream in{path, std::ios::binary};
+    if (!in) {
+      throw std::invalid_argument{"cannot open file"};
+    }
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    return parse(contents.str());
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument{path + ": " + e.what()};
   }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
-}
-
-std::string fmt(double value, int precision = 3) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
 }
 
 /// One metric comparison; `lower_is_better` encodes the direction.
@@ -348,19 +132,15 @@ const char* status_name(MetricStatus status) {
 }  // namespace
 
 std::vector<BenchRow> parse_bench_json(std::string_view text) {
-  return rows_from(JsonParser{text}.parse(), "mahimahi-bench-v1");
+  return rows_from(util::parse_json(text), "mahimahi-bench-v1");
 }
 
 std::vector<BenchRow> load_bench_file(const std::string& path) {
-  try {
-    return parse_bench_json(read_file_or_throw(path));
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument{path + ": " + e.what()};
-  }
+  return load_file(path, parse_bench_json);
 }
 
 Baseline parse_baseline_json(std::string_view text) {
-  const JsonValue root = JsonParser{text}.parse();
+  const JsonValue root = util::parse_json(text);
   Baseline baseline;
   baseline.rows = rows_from(root, "mahimahi-bench-baseline-v1");
   baseline.default_tolerance =
@@ -385,33 +165,36 @@ Baseline parse_baseline_json(std::string_view text) {
 }
 
 Baseline load_baseline_file(const std::string& path) {
-  try {
-    return parse_baseline_json(read_file_or_throw(path));
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument{path + ": " + e.what()};
+  return load_file(path, parse_baseline_json);
+}
+
+std::optional<Baseline> load_existing_baseline(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) {
+    return std::nullopt;
   }
+  return load_baseline_file(path);
 }
 
 std::string make_baseline_json(const Baseline& baseline) {
   std::string out;
-  out += "{\n  \"schema\": \"mahimahi-bench-baseline-v1\",\n";
-  out += "  \"default_tolerance\": " + fmt(baseline.default_tolerance) + ",\n";
-  out += "  \"tolerances\": {";
+  append(out, "{\n  \"schema\": \"mahimahi-bench-baseline-v1\",\n",
+         "  \"default_tolerance\": ", Fixed{baseline.default_tolerance, 3},
+         ",\n  \"tolerances\": {");
   bool first = true;
   for (const auto& [name, tolerance] : baseline.tolerances) {
-    out += first ? "\n" : ",\n";
+    append(out, first ? "\n" : ",\n", "    \"", Escaped{name}, "\": ",
+           Fixed{tolerance, 3});
     first = false;
-    out += "    \"" + name + "\": " + fmt(tolerance);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"benchmarks\": [";
   for (std::size_t i = 0; i < baseline.rows.size(); ++i) {
     const BenchRow& row = baseline.rows[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + row.name +
-           "\", \"ns_per_op\": " + fmt(row.ns_per_op, 1) +
-           ", \"items_per_second\": " + fmt(row.items_per_second, 1) +
-           ", \"bytes_per_second\": " + fmt(row.bytes_per_second, 1) + "}";
+    append(out, i == 0 ? "\n" : ",\n", "    {\"name\": \"", Escaped{row.name},
+           "\", \"ns_per_op\": ", Fixed{row.ns_per_op, 1},
+           ", \"items_per_second\": ", Fixed{row.items_per_second, 1},
+           ", \"bytes_per_second\": ", Fixed{row.bytes_per_second, 1}, "}");
   }
   out += "\n  ]\n}\n";
   return out;
@@ -484,26 +267,7 @@ std::string format_delta_table(const GateResult& result) {
     row.push_back(status_name(delta.status));
     cells.push_back(std::move(row));
   }
-  // Simple fixed-width rendering (own copy: util::render_table is bench
-  // table-styled; the gate prints to CI logs where alignment is enough).
-  std::vector<std::size_t> widths;
-  for (const auto& row : cells) {
-    widths.resize(std::max(widths.size(), row.size()), 0);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      widths[i] = std::max(widths[i], row[i].size());
-    }
-  }
-  std::string out;
-  for (const auto& row : cells) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      out += row[i];
-      if (i + 1 < row.size()) {
-        out.append(widths[i] - row[i].size() + 2, ' ');
-      }
-    }
-    out += "\n";
-  }
-  return out;
+  return util::render_table(cells);
 }
 
 }  // namespace mahimahi::gate

@@ -8,6 +8,7 @@
 // CI can fail on regressions and print a metric-by-metric delta table.
 
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,13 @@ struct Baseline {
 /// "default_tolerance" and an optional "tolerances" object.
 Baseline parse_baseline_json(std::string_view text);
 Baseline load_baseline_file(const std::string& path);
+
+/// The baseline a refresh (`mm_bench_check --update`) starts from: nullopt
+/// when `path` does not exist (a first-time pin, defaults apply), else the
+/// parsed file. An existing file that cannot be read or parsed throws
+/// std::invalid_argument naming the file, so a refresh never silently
+/// replaces a curated tolerance policy with the defaults.
+std::optional<Baseline> load_existing_baseline(const std::string& path);
 
 /// Serialize (the refresh procedure: re-measure, then rewrite the
 /// baseline keeping its tolerance policy). Fixed-precision, diffable.

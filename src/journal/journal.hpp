@@ -25,7 +25,7 @@ namespace mahimahi::journal {
 ///                  one row per task telling whether it was journaled,
 ///                  replayed, cancelled, retried or watchdog-killed.
 ///                  Written by the experiment runner, readable with
-///                  mm_trace_dump.
+///                  `mm_trace dump`.
 ///
 /// Record framing (little-endian):
 ///   u32 magic 'MMJ1' | u32 payload_len | u32 crc32(payload) | payload

@@ -53,20 +53,20 @@ struct ParsedTrace {
 
 /// Rebuild LoadTraces from parsed rows (events, objects and pages grouped
 /// by load index, preserving row order) — the derived-metric input of
-/// mm_metrics and mm_trace_diff. Reconstruction inverts to_csv up to the
-/// CSV's own precision: `metric` round-trips through %.6f and object/page
-/// rows carry their phase timestamps in `detail`, which is exact for
-/// every field the metric derivations consume.
+/// `mm_trace metrics` and `mm_trace diff`. Reconstruction inverts to_csv
+/// up to the CSV's own precision: `metric` round-trips through %.6f and
+/// object/page rows carry their phase timestamps in `detail`, which is
+/// exact for every field the metric derivations consume.
 [[nodiscard]] std::vector<LoadTrace> to_load_traces(const ParsedTrace& trace);
 
 /// ASCII per-object waterfall over the loads' time axis (the body of
-/// mm_trace_dump --waterfall). Each column shows the phase in progress at
+/// `mm_trace dump --waterfall`). Each column shows the phase in progress at
 /// that column's start instant — a phase shorter than one column simply
 /// claims no column, and an object that died early ends its bar at its
 /// last recorded timestamp instead of stretching to the axis end.
 [[nodiscard]] std::string render_waterfall(const std::vector<TraceRow>& rows);
 
-/// Everything mm_trace_diff reports about one aligned cell pair.
+/// Everything `mm_trace diff` reports about one aligned cell pair.
 struct CellDiff {
   std::string label;  // cell label — the alignment key
   bool in_a{true};

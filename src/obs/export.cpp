@@ -2,64 +2,20 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
+#include <utility>
+
+#include "util/json.hpp"
 
 namespace mahimahi::obs {
 namespace {
 
-// All doubles serialize through fixed-precision snprintf — the same
-// discipline as experiment/report.cpp — so exported bytes are a pure
-// function of the values, not of locale or shortest-round-trip quirks.
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  return buffer;
-}
-
-std::string fmt_i64(std::int64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%" PRId64, value);
-  return buffer;
-}
-
-std::string fmt_u64(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
-  return buffer;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+// Every number serializes through util/json's fixed-precision and integer
+// formatters, so exported bytes are a pure function of the values, not of
+// locale or shortest-round-trip quirks.
+using util::append;
+using util::Escaped;
+using util::Fixed;
 
 // ---- Chrome trace ---------------------------------------------------------
 
@@ -70,82 +26,70 @@ std::int64_t lane(std::int32_t session, Layer layer) {
   return (static_cast<std::int64_t>(session) + 1) * 8 + layer_index;
 }
 
-std::string lane_name(std::int32_t session, Layer layer) {
-  std::string name;
-  if (session < 0) {
-    name = "shared";
-  } else {
-    name = "s";
-    name += std::to_string(session);
+/// Records of a JSON array, one per line: ",\n" before all but the first.
+void separate(std::string& out, bool& first) {
+  if (!first) {
+    out += ",\n";
   }
-  name += ":";
-  name += to_string(layer);
-  return name;
+  first = false;
 }
 
 void append_event_json(std::string& out, int pid, const TraceEvent& event) {
-  const std::string tid = fmt_i64(lane(event.session, event.layer));
-  const std::string ts = fmt_i64(event.at);
+  const std::int64_t tid = lane(event.session, event.layer);
   switch (event.kind) {
     case EventKind::kEnqueue:
     case EventKind::kDequeue:
       // Queue depth as a counter track named after the queue.
-      out += R"({"name":"queue )" + json_escape(event.label) +
-             R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-             tid + R"(,"ts":)" + ts + R"(,"args":{"packets":)" +
-             fmt_u64(event.value) + R"(,"bytes":)" + fmt(event.metric, 0) +
-             "}}";
+      append(out, R"({"name":"queue )", Escaped{event.label},
+             R"(","ph":"C","pid":)", pid, R"(,"tid":)", tid, R"(,"ts":)",
+             event.at, R"(,"args":{"packets":)", event.value, R"(,"bytes":)",
+             Fixed{event.metric, 0}, "}}");
       return;
     case EventKind::kTcpCwndSample:
-      out += R"({"name":"cwnd flow )" + fmt_u64(event.flow) +
-             R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-             tid + R"(,"ts":)" + ts + R"(,"args":{"cwnd":)" +
-             fmt(event.metric, 0) + R"(,"ssthresh":)" + fmt_u64(event.value) +
-             "}}";
+      append(out, R"({"name":"cwnd flow )", event.flow,
+             R"(","ph":"C","pid":)", pid, R"(,"tid":)", tid, R"(,"ts":)",
+             event.at, R"(,"args":{"cwnd":)", Fixed{event.metric, 0},
+             R"(,"ssthresh":)", event.value, "}}");
       return;
     case EventKind::kTcpRttSample:
-      out += R"({"name":"srtt flow )" + fmt_u64(event.flow) +
-             R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-             tid + R"(,"ts":)" + ts + R"(,"args":{"srtt_ms":)" +
-             fmt(event.metric, 3) + "}}";
+      append(out, R"({"name":"srtt flow )", event.flow,
+             R"(","ph":"C","pid":)", pid, R"(,"tid":)", tid, R"(,"ts":)",
+             event.at, R"(,"args":{"srtt_ms":)", Fixed{event.metric, 3},
+             "}}");
       return;
     default:
       break;
   }
   // Everything else is an instant with the full payload in args.
-  out += R"({"name":")" + std::string(to_string(event.kind)) +
-         R"(","ph":"i","s":"t","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-         tid + R"(,"ts":)" + ts + R"(,"args":{"label":")" +
-         json_escape(event.label) + R"(","flow":)" + fmt_u64(event.flow) +
-         R"(,"value":)" + fmt_u64(event.value) + R"(,"metric":)" +
-         fmt(event.metric, 3) + "}}";
+  append(out, R"({"name":")", to_string(event.kind),
+         R"(","ph":"i","s":"t","pid":)", pid, R"(,"tid":)", tid, R"(,"ts":)",
+         event.at, R"(,"args":{"label":")", Escaped{event.label},
+         R"(","flow":)", event.flow, R"(,"value":)", event.value,
+         R"(,"metric":)", Fixed{event.metric, 3}, "}}");
 }
 
 void append_object_span(std::string& out, int pid, const ObjectRecord& o) {
   const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
   const Microseconds end = o.complete >= 0 ? o.complete : start;
-  out += R"({"name":")" + json_escape(o.url) + R"(","cat":"object","ph":"X")" +
-         R"(,"pid":)" + std::to_string(pid) + R"(,"tid":)" +
-         fmt_i64(lane(o.session, Layer::kBrowser)) + R"(,"ts":)" +
-         fmt_i64(start) + R"(,"dur":)" + fmt_i64(end - start) +
-         R"(,"args":{"kind":")" + json_escape(o.kind) + R"(","status":)" +
-         std::to_string(o.status) + R"(,"bytes":)" + fmt_u64(o.bytes) +
-         R"(,"attempts":)" + std::to_string(o.attempts) + R"(,"failed":)" +
-         (o.failed ? "true" : "false") + R"(,"dns_start":)" +
-         fmt_i64(o.dns_start) + R"(,"dns_done":)" + fmt_i64(o.dns_done) +
-         R"(,"connect_done":)" + fmt_i64(o.connect_done) +
-         R"(,"request_sent":)" + fmt_i64(o.request_sent) +
-         R"(,"first_byte":)" + fmt_i64(o.first_byte) + R"(,"error":")" +
-         json_escape(o.error) + R"("}})";
+  append(out, R"({"name":")", Escaped{o.url}, R"(","cat":"object","ph":"X")",
+         R"(,"pid":)", pid, R"(,"tid":)", lane(o.session, Layer::kBrowser),
+         R"(,"ts":)", start, R"(,"dur":)", end - start,
+         R"(,"args":{"kind":")", Escaped{o.kind}, R"(","status":)", o.status,
+         R"(,"bytes":)", o.bytes, R"(,"attempts":)", o.attempts,
+         R"(,"failed":)", o.failed ? "true" : "false", R"(,"dns_start":)",
+         o.dns_start, R"(,"dns_done":)", o.dns_done, R"(,"connect_done":)",
+         o.connect_done, R"(,"request_sent":)", o.request_sent,
+         R"(,"first_byte":)", o.first_byte, R"(,"error":")", Escaped{o.error},
+         R"("}})");
 }
 
 void append_page_span(std::string& out, int pid, const PageRecord& p) {
-  out += R"({"name":"page )" + json_escape(p.url) +
-         R"(","cat":"page","ph":"X","pid":)" + std::to_string(pid) +
-         R"(,"tid":)" + fmt_i64(lane(p.session, Layer::kBrowser)) +
-         R"(,"ts":)" + fmt_i64(p.started_at) + R"(,"dur":)" + fmt_i64(p.plt) +
-         R"(,"args":{"success":)" + (p.success ? "true" : "false") +
-         R"(,"degraded_plt_ms":)" + fmt(to_ms(p.degraded_plt), 3) + "}}";
+  append(out, R"({"name":"page )", Escaped{p.url},
+         R"(","cat":"page","ph":"X","pid":)", pid, R"(,"tid":)",
+         lane(p.session, Layer::kBrowser), R"(,"ts":)", p.started_at,
+         R"(,"dur":)", p.plt, R"(,"args":{"success":)",
+         p.success ? "true" : "false", R"(,"degraded_plt_ms":)",
+         Fixed{to_ms(p.degraded_plt), 3}, "}}");
 }
 
 // ---- HAR ------------------------------------------------------------------
@@ -177,8 +121,9 @@ std::string iso_date(Microseconds at) {
   return buffer;
 }
 
-std::string har_page_id(int load_index, std::int32_t session) {
-  return "load" + std::to_string(load_index) + ".s" + std::to_string(session);
+void append_har_page_id(std::string& out, int load_index,
+                        std::int32_t session) {
+  append(out, "load", load_index, ".s", session);
 }
 
 // Phase duration in ms, or fallback when a boundary was never reached.
@@ -195,57 +140,54 @@ std::string to_chrome_trace(const TraceMeta& meta,
                             const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  out += R"({"displayTimeUnit":"ms","otherData":{"experiment":")" +
-         json_escape(meta.experiment) + R"(","cell":")" +
-         json_escape(meta.cell_label) + R"(","cell_index":)" +
-         std::to_string(meta.cell_index) + R"(,"cell_seed":)" +
-         fmt_u64(meta.cell_seed) + R"(},"traceEvents":[)";
+  append(out, R"({"displayTimeUnit":"ms","otherData":{"experiment":")",
+         Escaped{meta.experiment}, R"(","cell":")", Escaped{meta.cell_label},
+         R"(","cell_index":)", meta.cell_index, R"(,"cell_seed":)",
+         meta.cell_seed, R"(},"traceEvents":[)");
   bool first = true;
-  const auto emit = [&](const std::string& event_json) {
-    if (!first) {
-      out += ",\n";
-    }
-    first = false;
-    out += event_json;
-  };
   for (const LoadTrace& load : loads) {
     const int pid = load.load_index;
-    emit(R"({"name":"process_name","ph":"M","pid":)" + std::to_string(pid) +
-         R"(,"args":{"name":"load )" + std::to_string(pid) + R"("}})");
+    separate(out, first);
+    append(out, R"({"name":"process_name","ph":"M","pid":)", pid,
+           R"(,"args":{"name":"load )", pid, R"("}})");
     // Name each (session, layer) lane that actually carries events. An
-    // ordered set keeps metadata order deterministic.
-    std::map<std::int64_t, std::string> lanes;
+    // ordered map keeps metadata order deterministic.
+    std::map<std::int64_t, std::pair<std::int32_t, Layer>> lanes;
+    const auto use_lane = [&](std::int32_t session, Layer layer) {
+      lanes.emplace(lane(session, layer), std::pair{session, layer});
+    };
     for (const TraceEvent& event : load.buffer.events) {
-      lanes.emplace(lane(event.session, event.layer),
-                    lane_name(event.session, event.layer));
+      use_lane(event.session, event.layer);
     }
     for (const ObjectRecord& object : load.buffer.objects) {
-      lanes.emplace(lane(object.session, Layer::kBrowser),
-                    lane_name(object.session, Layer::kBrowser));
+      use_lane(object.session, Layer::kBrowser);
     }
     for (const PageRecord& page : load.buffer.pages) {
-      lanes.emplace(lane(page.session, Layer::kBrowser),
-                    lane_name(page.session, Layer::kBrowser));
+      use_lane(page.session, Layer::kBrowser);
     }
-    for (const auto& [tid, name] : lanes) {
-      emit(R"({"name":"thread_name","ph":"M","pid":)" + std::to_string(pid) +
-           R"(,"tid":)" + fmt_i64(tid) + R"(,"args":{"name":")" +
-           json_escape(name) + R"("}})");
+    for (const auto& [tid, owner] : lanes) {
+      separate(out, first);
+      append(out, R"({"name":"thread_name","ph":"M","pid":)", pid,
+             R"(,"tid":)", tid, R"(,"args":{"name":")");
+      // "shared:<layer>" for infrastructure, "s<session>:<layer>" otherwise.
+      if (owner.first < 0) {
+        out += "shared";
+      } else {
+        append(out, "s", owner.first);
+      }
+      append(out, ":", to_string(owner.second), R"("}})");
     }
     for (const TraceEvent& event : load.buffer.events) {
-      std::string line;
-      append_event_json(line, pid, event);
-      emit(line);
+      separate(out, first);
+      append_event_json(out, pid, event);
     }
     for (const ObjectRecord& object : load.buffer.objects) {
-      std::string line;
-      append_object_span(line, pid, object);
-      emit(line);
+      separate(out, first);
+      append_object_span(out, pid, object);
     }
     for (const PageRecord& page : load.buffer.pages) {
-      std::string line;
-      append_page_span(line, pid, page);
-      emit(line);
+      separate(out, first);
+      append_page_span(out, pid, page);
     }
   }
   out += "]}\n";
@@ -255,36 +197,29 @@ std::string to_chrome_trace(const TraceMeta& meta,
 std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  out += R"({"log":{"version":"1.2","creator":{"name":"mahimahi-obs",)" +
-         std::string(R"("version":"1"},"comment":"experiment=)") +
-         json_escape(meta.experiment) + " cell=" +
-         std::to_string(meta.cell_index) + " label=" +
-         json_escape(meta.cell_label) + " seed=" + fmt_u64(meta.cell_seed) +
-         R"(","pages":[)";
+  append(out, R"({"log":{"version":"1.2","creator":{"name":"mahimahi-obs",)",
+         R"("version":"1"},"comment":"experiment=)", Escaped{meta.experiment},
+         " cell=", meta.cell_index, " label=", Escaped{meta.cell_label},
+         " seed=", meta.cell_seed, R"(","pages":[)");
   bool first = true;
   for (const LoadTrace& load : loads) {
     for (const PageRecord& page : load.buffer.pages) {
-      if (!first) {
-        out += ",\n";
-      }
-      first = false;
-      out += R"({"startedDateTime":")" + iso_date(page.started_at) +
-             R"(","id":")" + har_page_id(load.load_index, page.session) +
-             R"(","title":")" + json_escape(page.url) +
-             R"(","pageTimings":{"onContentLoad":-1,"onLoad":)" +
-             fmt(to_ms(page.plt), 3) + R"(},"_success":)" +
-             (page.success ? "true" : "false") + R"(,"_degraded_plt_ms":)" +
-             fmt(to_ms(page.degraded_plt), 3) + "}";
+      separate(out, first);
+      append(out, R"({"startedDateTime":")", iso_date(page.started_at),
+             R"(","id":")");
+      append_har_page_id(out, load.load_index, page.session);
+      append(out, R"(","title":")", Escaped{page.url},
+             R"(","pageTimings":{"onContentLoad":-1,"onLoad":)",
+             Fixed{to_ms(page.plt), 3}, R"(},"_success":)",
+             page.success ? "true" : "false", R"(,"_degraded_plt_ms":)",
+             Fixed{to_ms(page.degraded_plt), 3}, "}");
     }
   }
   out += R"(],"entries":[)";
   first = true;
   for (const LoadTrace& load : loads) {
     for (const ObjectRecord& o : load.buffer.objects) {
-      if (!first) {
-        out += ",\n";
-      }
-      first = false;
+      separate(out, first);
       const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
       const Microseconds end = o.complete >= 0 ? o.complete : start;
       const double total_ms = to_ms(end - start);
@@ -315,76 +250,73 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
           wait_ms = span_ms(o.request_sent, end, 0.0);
         }
       }
-      out += R"({"pageref":")" + har_page_id(load.load_index, o.session) +
-             R"(","startedDateTime":")" + iso_date(o.fetch_start) +
-             R"(","time":)" + fmt(total_ms, 3) +
-             R"(,"request":{"method":"GET","url":")" + json_escape(o.url) +
-             R"(","httpVersion":"HTTP/1.1","cookies":[],"headers":[],)" +
-             R"("queryString":[],"headersSize":-1,"bodySize":0},)" +
-             R"("response":{"status":)" + std::to_string(o.status) +
-             R"(,"statusText":"","httpVersion":"HTTP/1.1","cookies":[],)" +
-             R"("headers":[],"content":{"size":)" + fmt_u64(o.bytes) +
-             R"(,"mimeType":")" + json_escape(o.kind) +
-             R"("},"redirectURL":"","headersSize":-1,"bodySize":)" +
-             fmt_u64(o.bytes) + R"(},"cache":{},"timings":{"blocked":)" +
-             fmt(blocked_ms, 3) + R"(,"dns":)" + fmt(dns_ms, 3) +
-             R"(,"connect":)" + fmt(connect_ms, 3) +
-             R"(,"ssl":-1,"send":0,"wait":)" + fmt(wait_ms, 3) +
-             R"(,"receive":)" + fmt(receive_ms, 3) + R"(},"_attempts":)" +
-             std::to_string(o.attempts) + R"(,"_failed":)" +
-             (o.failed ? "true" : "false") + R"(,"_error":")" +
-             json_escape(o.error) + R"("})";
+      out += R"({"pageref":")";
+      append_har_page_id(out, load.load_index, o.session);
+      append(out, R"(","startedDateTime":")", iso_date(o.fetch_start),
+             R"(","time":)", Fixed{total_ms, 3},
+             R"(,"request":{"method":"GET","url":")", Escaped{o.url},
+             R"(","httpVersion":"HTTP/1.1","cookies":[],"headers":[],)",
+             R"("queryString":[],"headersSize":-1,"bodySize":0},)",
+             R"("response":{"status":)", o.status,
+             R"(,"statusText":"","httpVersion":"HTTP/1.1","cookies":[],)",
+             R"("headers":[],"content":{"size":)", o.bytes,
+             R"(,"mimeType":")", Escaped{o.kind},
+             R"("},"redirectURL":"","headersSize":-1,"bodySize":)", o.bytes,
+             R"(},"cache":{},"timings":{"blocked":)", Fixed{blocked_ms, 3},
+             R"(,"dns":)", Fixed{dns_ms, 3}, R"(,"connect":)",
+             Fixed{connect_ms, 3}, R"(,"ssl":-1,"send":0,"wait":)",
+             Fixed{wait_ms, 3}, R"(,"receive":)", Fixed{receive_ms, 3},
+             R"(},"_attempts":)", o.attempts, R"(,"_failed":)",
+             o.failed ? "true" : "false", R"(,"_error":")", Escaped{o.error},
+             R"("})");
     }
   }
   out += "]}}\n";
   return out;
 }
 
+std::string csv_field(std::string_view text) {
+  std::string field{text};
+  for (char& c : field) {
+    if (c == ',' || c == '\n' || c == '\r') {
+      c = ';';
+    }
+  }
+  return field;
+}
+
 std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  const auto sanitize = [](std::string text) {
-    for (char& c : text) {
-      if (c == ',' || c == '\n' || c == '\r') {
-        c = ';';
-      }
-    }
-    return text;
-  };
-  out += "# mahimahi-obs-trace-v1 experiment=" + sanitize(meta.experiment) +
-         " cell=" + std::to_string(meta.cell_index) + " label=" +
-         sanitize(meta.cell_label) + " seed=" + fmt_u64(meta.cell_seed) + "\n";
+  append(out, "# mahimahi-obs-trace-v1 experiment=", csv_field(meta.experiment),
+         " cell=", meta.cell_index, " label=", csv_field(meta.cell_label),
+         " seed=", meta.cell_seed, "\n");
   out += "load,session,t_us,layer,kind,flow,value,metric,label,detail\n";
   for (const LoadTrace& load : loads) {
-    const std::string prefix = std::to_string(load.load_index) + ",";
+    const int index = load.load_index;
     for (const TraceEvent& e : load.buffer.events) {
-      out += prefix + std::to_string(e.session) + "," + fmt_i64(e.at) + "," +
-             std::string(to_string(e.layer)) + "," +
-             std::string(to_string(e.kind)) + "," + fmt_u64(e.flow) + "," +
-             fmt_u64(e.value) + "," + fmt(e.metric, 6) + "," +
-             sanitize(e.label) + ",\n";
+      append(out, index, ",", e.session, ",", e.at, ",", to_string(e.layer),
+             ",", to_string(e.kind), ",", e.flow, ",", e.value, ",",
+             Fixed{e.metric, 6}, ",", csv_field(e.label), ",\n");
     }
     for (const ObjectRecord& o : load.buffer.objects) {
       const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
       const Microseconds end = o.complete >= 0 ? o.complete : start;
-      out += prefix + std::to_string(o.session) + "," + fmt_i64(start) +
-             ",browser,object,0," + fmt_u64(o.bytes) + "," +
-             fmt(to_ms(end - start), 6) + "," + sanitize(o.url) + "," +
-             "kind=" + sanitize(o.kind) + ";status=" +
-             std::to_string(o.status) + ";attempts=" +
-             std::to_string(o.attempts) + ";failed=" + (o.failed ? "1" : "0") +
-             ";dns_start_us=" + fmt_i64(o.dns_start) + ";dns_done_us=" +
-             fmt_i64(o.dns_done) + ";connect_us=" + fmt_i64(o.connect_done) +
-             ";request_us=" + fmt_i64(o.request_sent) +
-             ";first_byte_us=" + fmt_i64(o.first_byte) + ";complete_us=" +
-             fmt_i64(o.complete) + ";error=" + sanitize(o.error) + "\n";
+      append(out, index, ",", o.session, ",", start, ",browser,object,0,",
+             o.bytes, ",", Fixed{to_ms(end - start), 6}, ",",
+             csv_field(o.url), ",kind=", csv_field(o.kind), ";status=",
+             o.status, ";attempts=", o.attempts,
+             ";failed=", o.failed ? "1" : "0", ";dns_start_us=", o.dns_start,
+             ";dns_done_us=", o.dns_done, ";connect_us=", o.connect_done,
+             ";request_us=", o.request_sent, ";first_byte_us=", o.first_byte,
+             ";complete_us=", o.complete, ";error=", csv_field(o.error),
+             "\n");
     }
     for (const PageRecord& p : load.buffer.pages) {
-      out += prefix + std::to_string(p.session) + "," +
-             fmt_i64(p.started_at) + ",browser,page,0," +
-             (p.success ? "1" : "0") + "," + fmt(to_ms(p.plt), 6) + "," +
-             sanitize(p.url) + ",degraded_ms=" +
-             fmt(to_ms(p.degraded_plt), 3) + "\n";
+      append(out, index, ",", p.session, ",", p.started_at,
+             ",browser,page,0,", p.success ? "1" : "0", ",",
+             Fixed{to_ms(p.plt), 6}, ",", csv_field(p.url), ",degraded_ms=",
+             Fixed{to_ms(p.degraded_plt), 3}, "\n");
     }
   }
   return out;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -39,8 +40,12 @@ struct TraceMeta {
                                  const std::vector<LoadTrace>& loads);
 
 /// Flat CSV time series (one row per event, object and page) — the input
-/// format of mm_trace_dump.
+/// format of `mm_trace dump|metrics|diff`.
 [[nodiscard]] std::string to_csv(const TraceMeta& meta,
                                  const std::vector<LoadTrace>& loads);
+
+/// `text` as one cell of the trace and metrics CSVs: the bytes those
+/// formats reserve (',', '\n', '\r') become ';'.
+[[nodiscard]] std::string csv_field(std::string_view text);
 
 }  // namespace mahimahi::obs

@@ -1,8 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
+
+#include "util/json.hpp"
 
 namespace mahimahi::obs {
 namespace {
@@ -17,33 +18,57 @@ constexpr double kQuarter[4] = {0.5, 0.59460355750136051, 0.70710678118654757,
 // an exact zero is common — e.g. a warm-connection connect phase).
 constexpr std::int32_t kZeroBucket = INT32_MIN;
 
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
+using util::append;
+using util::Escaped;
+using util::Fixed;
+
+void append_value(std::string& out, std::int64_t counter) {
+  append(out, counter);
 }
 
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
+void append_value(std::string& out, double gauge) {
+  append(out, Fixed{gauge});
+}
+
+void append_value(std::string& out, const MetricsSnapshot::HistogramStats& h) {
+  append(out, "{\"count\": ", h.count, ", \"sum\": ", Fixed{h.sum},
+         ", \"min\": ", Fixed{h.min}, ", \"max\": ", Fixed{h.max},
+         ", \"p50\": ", Fixed{h.p50}, ", \"p90\": ", Fixed{h.p90},
+         ", \"p99\": ", Fixed{h.p99}, "}");
+}
+
+/// One `"name": {...}` section of a snapshot, one entry per line when
+/// `multiline` (the standalone document) or all on one line (the inline
+/// report block).
+template <typename Map>
+void append_section(std::string& out, const char* name, const Map& entries,
+                    bool multiline) {
+  append(out, "\"", name, "\": {");
+  bool first = true;
+  for (const auto& [key, value] : entries) {
+    if (multiline) {
+      out += first ? "\n    " : ",\n    ";
+    } else if (!first) {
+      out += ", ";
     }
-    escaped += c;
+    first = false;
+    append(out, "\"", Escaped{key}, "\": ");
+    append_value(out, value);
   }
-  return escaped;
+  out += multiline && !entries.empty() ? "\n  }" : "}";
 }
 
-void append_histogram_json(std::string& out,
-                           const MetricsSnapshot::HistogramStats& h) {
-  out += "{\"count\": " + std::to_string(h.count);
-  out += ", \"sum\": " + fmt(h.sum);
-  out += ", \"min\": " + fmt(h.min);
-  out += ", \"max\": " + fmt(h.max);
-  out += ", \"p50\": " + fmt(h.p50);
-  out += ", \"p90\": " + fmt(h.p90);
-  out += ", \"p99\": " + fmt(h.p99) + "}";
+std::string snapshot_json(const MetricsSnapshot& snap, bool multiline) {
+  const char* between = multiline ? ",\n  " : ", ";
+  std::string out =
+      multiline ? "{\n  \"schema\": \"mahimahi-metrics-v1\",\n  " : "{";
+  append_section(out, "counters", snap.counters, multiline);
+  out += between;
+  append_section(out, "gauges", snap.gauges, multiline);
+  out += between;
+  append_section(out, "histograms", snap.histograms, multiline);
+  out += multiline ? "\n}\n" : "}";
+  return out;
 }
 
 }  // namespace
@@ -140,83 +165,25 @@ double Histogram::percentile(double p) const {
 // ---- MetricsSnapshot ------------------------------------------------------
 
 std::string MetricsSnapshot::to_json_inline() const {
-  std::string out = "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "" : ", ";
-    first = false;
-    out += "\"" + json_escape(name) + "\": " + std::to_string(value);
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "" : ", ";
-    first = false;
-    out += "\"" + json_escape(name) + "\": " + fmt(value);
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, stats] : histograms) {
-    out += first ? "" : ", ";
-    first = false;
-    out += "\"" + json_escape(name) + "\": ";
-    append_histogram_json(out, stats);
-  }
-  out += "}}";
-  return out;
+  return snapshot_json(*this, /*multiline=*/false);
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\n  \"schema\": \"mahimahi-metrics-v1\",\n";
-  out += "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
-  }
-  out += counters.empty() ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + fmt(value);
-  }
-  out += gauges.empty() ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, stats] : histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": ";
-    append_histogram_json(out, stats);
-  }
-  out += histograms.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  return snapshot_json(*this, /*multiline=*/true);
 }
 
 std::string MetricsSnapshot::to_csv() const {
-  const auto sanitize = [](std::string text) {
-    for (char& c : text) {
-      if (c == ',' || c == '\n' || c == '\r') {
-        c = ';';
-      }
-    }
-    return text;
-  };
   std::string out = "name,type,count,sum,min,max,p50,p90,p99,value\n";
   for (const auto& [name, value] : counters) {
-    out += sanitize(name) + ",counter,,,,,,,," + std::to_string(value) + "\n";
+    append(out, csv_field(name), ",counter,,,,,,,,", value, "\n");
   }
   for (const auto& [name, value] : gauges) {
-    out += sanitize(name) + ",gauge,,,,,,,," + fmt(value) + "\n";
+    append(out, csv_field(name), ",gauge,,,,,,,,", Fixed{value}, "\n");
   }
   for (const auto& [name, h] : histograms) {
-    out += sanitize(name) + ",histogram," + std::to_string(h.count) + "," +
-           fmt(h.sum) + "," + fmt(h.min) + "," + fmt(h.max) + "," +
-           fmt(h.p50) + "," + fmt(h.p90) + "," + fmt(h.p99) + ",\n";
+    append(out, csv_field(name), ",histogram,", h.count, ",", Fixed{h.sum},
+           ",", Fixed{h.min}, ",", Fixed{h.max}, ",", Fixed{h.p50}, ",",
+           Fixed{h.p90}, ",", Fixed{h.p99}, ",\n");
   }
   return out;
 }
@@ -234,14 +201,6 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
 
 void MetricsRegistry::observe(const std::string& name, double value) {
   histograms_[name].observe(value);
-}
-
-void MetricsRegistry::observe_trace_event(const TraceEvent& event) {
-  std::string name = "events.";
-  name += to_string(event.layer);
-  name += ".";
-  name += to_string(event.kind);
-  ++counters_[name];
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -319,7 +278,9 @@ void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
   constexpr Microseconds kBurstGap = 100'000;
 
   for (const TraceEvent& e : trace.events) {
-    registry.observe_trace_event(e);
+    std::string counter = "events.";
+    append(counter, to_string(e.layer), ".", to_string(e.kind));
+    registry.add_counter(counter);
     switch (e.kind) {
       case EventKind::kEnqueue:
         if (e.flow != 0) {

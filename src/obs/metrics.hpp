@@ -69,7 +69,7 @@ struct MetricsSnapshot {
   }
 
   /// Full document: {"schema": "mahimahi-metrics-v1", ...}, one metric per
-  /// line (mm_metrics output).
+  /// line (`mm_trace metrics` output).
   [[nodiscard]] std::string to_json() const;
   /// The same object without schema or newlines — the per-cell `metrics`
   /// block embedded in an experiment report row.
@@ -80,20 +80,12 @@ struct MetricsSnapshot {
 
 /// Deterministic named counters/gauges/histograms. Not thread-safe on
 /// purpose: one registry belongs to one deterministic derivation (one cell
-/// merge, or one simulation via Tracer::set_metrics), matching the repo's
-/// one-Rng-per-task convention.
+/// merge), matching the repo's one-Rng-per-task convention.
 class MetricsRegistry {
  public:
   void add_counter(const std::string& name, std::int64_t delta = 1);
   void set_gauge(const std::string& name, double value);
   void observe(const std::string& name, double value);
-
-  /// Direct-population hook (Tracer::set_metrics): counts the event under
-  /// "events.<layer>.<kind>". Replaying a TraceBuffer's events through
-  /// this function reproduces the live-instrumentation counters exactly —
-  /// the property that lets the experiment runner derive every cell's
-  /// metrics post-hoc from journaled traces.
-  void observe_trace_event(const TraceEvent& event);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
@@ -103,8 +95,11 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-/// Derive the full metric catalog from one load's trace into `registry`:
-///   events.<layer>.<kind>        per-event counters (== direct path)
+/// Derive the full metric catalog from one load's trace into `registry`.
+/// This is the only way metrics are populated: they are a pure function of
+/// the trace, so the runner derives every cell's metrics post-hoc,
+/// journaled resumes included. The catalog:
+///   events.<layer>.<kind>        per-event counters
 ///   objects.* / pages.*          waterfall outcome counters
 ///   queue.residence_us           enqueue→dequeue matched by (queue, pkt id)
 ///   queue.depth_pkts             instantaneous depth at each enqueue

@@ -7,6 +7,8 @@
 #include <map>
 #include <mutex>
 
+#include "util/json.hpp"
+
 namespace mahimahi::obs {
 namespace {
 
@@ -72,19 +74,14 @@ std::string Profiler::report() {
 
 std::string Profiler::to_json() {
   const std::vector<Entry> entries = snapshot();
-  std::string out = "{\n  \"schema\": \"mahimahi-profile-v1\",\n  \"scopes\": [";
-  char buf[224];
-  bool first = true;
-  for (const Entry& e : entries) {
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"name\": \"%s\", \"count\": %llu, "
-                  "\"total_ns\": %lld, \"self_ns\": %lld}",
-                  first ? "" : ",", e.name.c_str(),
-                  static_cast<unsigned long long>(e.count),
-                  static_cast<long long>(e.total_ns),
-                  static_cast<long long>(e.self_ns));
-    out += buf;
-    first = false;
+  std::string out =
+      "{\n  \"schema\": \"mahimahi-profile-v1\",\n  \"scopes\": [";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    util::append(out, i == 0 ? "\n" : ",\n", "    {\"name\": \"",
+                 util::Escaped{e.name}, "\", \"count\": ", e.count,
+                 ", \"total_ns\": ", e.total_ns,
+                 ", \"self_ns\": ", e.self_ns, "}");
   }
   out += "\n  ]\n}\n";
   return out;

@@ -1,14 +1,6 @@
 #include "obs/trace.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace mahimahi::obs {
-
-// Out of line so trace.hpp needs only a forward declaration of
-// MetricsRegistry (metrics.hpp includes trace.hpp for TraceEvent).
-void Tracer::notify_metrics(const TraceEvent& event) {
-  metrics_->observe_trace_event(event);
-}
 
 std::string_view to_string(Layer layer) {
   switch (layer) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+
+#include "../../bench/common.hpp"
 
 namespace mahimahi::gate {
 namespace {
@@ -41,6 +46,9 @@ TEST(BenchGate, RejectsWrongSchemaAndMalformedJson) {
                std::invalid_argument);
   EXPECT_THROW(parse_bench_json("{"), std::invalid_argument);
   EXPECT_THROW(parse_bench_json("[]"), std::invalid_argument);
+  // Deep nesting is a typed error, not a stack overflow.
+  EXPECT_THROW(parse_bench_json(std::string(1'000'000, '[')),
+               std::invalid_argument);
   EXPECT_THROW(
       parse_bench_json(
           R"({"schema": "mahimahi-bench-v1", "benchmarks": [{"ns_per_op": 1}]})"),
@@ -161,6 +169,95 @@ TEST(BenchGate, BaselineParserRejectsBadTolerances) {
                    R"({"schema": "mahimahi-bench-baseline-v1",
                        "tolerances": {"a": "tight"}, "benchmarks": []})"),
                std::invalid_argument);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(BenchGate, BaselineEscapesRowAndToleranceNames) {
+  Baseline baseline = simple_baseline();
+  baseline.rows[0].name = "quoted \"row\" \\ name";
+  baseline.tolerances["quoted \"row\" \\ name"] = 0.5;
+  const Baseline reparsed = parse_baseline_json(make_baseline_json(baseline));
+  EXPECT_EQ(reparsed.rows[0].name, baseline.rows[0].name);
+  EXPECT_DOUBLE_EQ(reparsed.tolerances.at(baseline.rows[0].name), 0.5);
+}
+
+TEST(BenchGate, CheckedInBaselinesAreSerializationFixedPoints) {
+  // Every pinned baseline must survive a --update round trip unchanged, so
+  // a refresh diff shows only the values that moved.
+  const std::filesystem::path dir =
+      std::filesystem::path{MAHI_TEST_SOURCE_DIR} / ".." / "bench" /
+      "baselines";
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    if (entry.path().extension() != ".json") {
+      continue;
+    }
+    ++files;
+    const std::string text = read_file(entry.path().string());
+    EXPECT_EQ(make_baseline_json(parse_baseline_json(text)), text)
+        << entry.path();
+  }
+  EXPECT_GE(files, 6);
+}
+
+class ExistingBaselineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "mahi_gate_baseline.json";
+    std::filesystem::remove(path_);
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+  std::string path_;
+};
+
+TEST_F(ExistingBaselineTest, MissingFileStartsAFreshPin) {
+  EXPECT_FALSE(load_existing_baseline(path_).has_value());
+}
+
+TEST_F(ExistingBaselineTest, WellFormedFileKeepsItsTolerancePolicy) {
+  Baseline baseline = simple_baseline();
+  baseline.default_tolerance = 4.0;
+  std::ofstream{path_} << make_baseline_json(baseline);
+  const auto existing = load_existing_baseline(path_);
+  ASSERT_TRUE(existing.has_value());
+  EXPECT_DOUBLE_EQ(existing->default_tolerance, 4.0);
+}
+
+TEST_F(ExistingBaselineTest, MalformedFileIsRefusedNamingFileAndError) {
+  // A stray comma: the refresh must refuse, not fall back to defaults.
+  std::string text = make_baseline_json(simple_baseline());
+  text.insert(text.find("\"benchmarks\""), ",");
+  std::ofstream{path_} << text;
+  try {
+    (void)load_existing_baseline(path_);
+    FAIL() << "expected a parse error";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path_), std::string::npos) << message;
+    EXPECT_NE(message.find("JSON error at line"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(PerfReport, WritesWellFormedBenchJson) {
+  bench::PerfReport report;
+  report.add({"BM_Quoted\"Name\"/1", 1255.6, 0, 903009397.25});
+  report.add({"BM_Plain", 0.5, 1e7, 0});
+  const std::string path = ::testing::TempDir() + "mahi_perf_report.json";
+  ASSERT_TRUE(report.write(path));
+  const std::vector<BenchRow> rows = load_bench_file(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].name, "BM_Quoted\"Name\"/1");
+  EXPECT_DOUBLE_EQ(rows[0].bytes_per_second, 903009397.25);
+  EXPECT_DOUBLE_EQ(rows[1].ns_per_op, 0.5);
+  EXPECT_DOUBLE_EQ(rows[1].items_per_second, 1e7);
 }
 
 }  // namespace

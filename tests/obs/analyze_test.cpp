@@ -80,8 +80,8 @@ TEST(DetailHelpers, ExtractFieldsFromBlobs) {
 TEST(ToLoadTraces, ReExportReproducesTheExactBytes) {
   // The reconstruction inverts to_csv up to the CSV's own precision — so
   // exporting the reconstruction must reproduce the file byte for byte.
-  // This is the property that makes mm_metrics on an exported trace equal
-  // the in-run derivation.
+  // This is the property that makes `mm_trace metrics` on an exported trace
+  // equal the in-run derivation.
   const std::string csv = to_csv(kMeta, sample_loads());
   const ParsedTrace trace = parse(csv);
   const std::vector<LoadTrace> rebuilt = to_load_traces(trace);

@@ -2,6 +2,7 @@
 // byte against a checked-in file (viewers are strict about field shape);
 // the Chrome trace is checked structurally: every event object must carry
 // the four fields ("ph", "pid", "tid", "ts") chrome://tracing requires.
+// Both JSON exports must parse strictly, whatever bytes their strings hold.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace mahimahi::obs {
 namespace {
@@ -108,29 +110,51 @@ TEST(ExportGolden, HarMatchesTheCheckedInGolden) {
 }
 
 TEST(ExportGolden, ChromeTraceEventsCarryRequiredFields) {
-  const std::string trace = to_chrome_trace(kMeta, golden_loads());
-  // Split the traceEvents array into objects; every one of them must have
-  // the viewer-required keys.
-  std::istringstream lines{trace};
-  std::string line;
-  std::size_t events = 0;
-  while (std::getline(lines, line)) {
-    const std::size_t open = line.find('{');
-    if (open == std::string::npos ||
-        line.find("\"traceEvents\"") != std::string::npos ||
-        line.find("\"ph\":\"M\"") != std::string::npos) {
-      // Metadata records (thread names) legitimately omit "ts".
-      continue;
+  const util::JsonValue root =
+      util::parse_json(to_chrome_trace(kMeta, golden_loads()));
+  const util::JsonValue* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t timed = 0;
+  for (const util::JsonValue& event : events->array) {
+    const util::JsonValue* ph = event.find("ph");
+    ASSERT_NE(ph, nullptr);
+    EXPECT_NE(event.find("pid"), nullptr);
+    if (ph->string == "M") {
+      continue;  // metadata records (process/thread names) omit "ts"
     }
-    ++events;
-    for (const char* field : {"\"ph\":", "\"pid\":", "\"tid\":", "\"ts\":"}) {
-      EXPECT_NE(line.find(field), std::string::npos)
-          << "event missing " << field << ": " << line;
+    ++timed;
+    for (const char* field : {"tid", "ts"}) {
+      EXPECT_NE(event.find(field), nullptr)
+          << "event " << event.find("name")->string << " missing " << field;
     }
   }
-  // Fixture has 5 events + 4 objects + 2 pages + metadata lanes; make sure
-  // the scan actually saw them rather than vacuously passing.
-  EXPECT_GE(events, 11u);
+  // Fixture has 5 events + 4 objects + 2 pages; make sure the walk
+  // actually saw them rather than vacuously passing.
+  EXPECT_GE(timed, 11u);
+}
+
+TEST(ExportGolden, JsonExportsParseWithControlBytesInStrings) {
+  const std::string url = "http://site.test/\x01\"q\"\\\n";
+  std::vector<LoadTrace> loads;
+  Tracer tracer;
+  tracer.event(10, Layer::kLink, EventKind::kEnqueue, -1, 1, 1, 1.0, url);
+  tracer.event(20, Layer::kDns, EventKind::kDnsQuery, 0, 0, 0, 0.0, url);
+  ObjectRecord& object = tracer.object(0, url);
+  object.kind = "k\x1f";
+  object.error = "e\r";
+  tracer.page(PageRecord{0, url, 0, 100, 100, false});
+  loads.push_back(LoadTrace{0, tracer.take()});
+  const TraceMeta meta{"exp\x02", "label\t", 0, 1};
+
+  const util::JsonValue chrome =
+      util::parse_json(to_chrome_trace(meta, loads));
+  EXPECT_EQ(chrome.find("otherData")->find("experiment")->string, "exp\x02");
+  const util::JsonValue har = util::parse_json(to_har(meta, loads));
+  const util::JsonValue& entry = har.find("log")->find("entries")->array.at(0);
+  EXPECT_EQ(entry.find("request")->find("url")->string, url);
+  EXPECT_EQ(entry.find("_error")->string, "e\r");
+  EXPECT_EQ(har.find("log")->find("pages")->array.at(0).find("title")->string,
+            url);
 }
 
 TEST(ExportGolden, CsvMatchesTheCheckedInGolden) {

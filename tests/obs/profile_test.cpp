@@ -8,6 +8,8 @@
 
 #include <thread>
 
+#include "util/json.hpp"
+
 namespace mahimahi::obs {
 namespace {
 
@@ -87,6 +89,22 @@ TEST_F(ProfileTest, ReportAndJsonCarryEveryScope) {
   EXPECT_NE(json.find("\"name\": \"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"total_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"self_ns\""), std::string::npos);
+}
+
+TEST_F(ProfileTest, JsonIsWellFormedForAnyScopeName) {
+  Profiler::enable(true);
+  {
+    ProfileScope scope{"odd \"scope\" \\ \x01name"};
+  }
+  {
+    MAHI_PROFILE("plain");
+  }
+  const util::JsonValue root = util::parse_json(Profiler::to_json());
+  const util::JsonValue& scopes = *root.find("scopes");
+  ASSERT_EQ(scopes.array.size(), 2u);
+  EXPECT_EQ(scopes.array[0].find("name")->string, "odd \"scope\" \\ \x01name");
+  EXPECT_DOUBLE_EQ(scopes.array[0].find("count")->number, 1.0);
+  EXPECT_EQ(scopes.array[1].find("name")->string, "plain");
 }
 
 TEST_F(ProfileTest, ResetClearsAggregates) {

@@ -1,4 +1,4 @@
-// Golden test for mm_trace_dump --waterfall rendering, pinning the two
+// Golden test for `mm_trace dump --waterfall` rendering, pinning the two
 // historically-wrong cases: a zero-duration phase must not blot out its
 // successor's columns, and an object that failed early must end its bar at
 // its last recorded timestamp instead of stretching to the axis end.

@@ -15,7 +15,9 @@
 //   --update   rewrite each baseline from the current measurement, keeping
 //              the existing tolerance policy (the documented refresh
 //              procedure — see bench/baselines/README.md). The gate is
-//              not applied.
+//              not applied. Only a missing baseline starts a fresh pin;
+//              an existing one that is unreadable or malformed is refused
+//              (exit 2) and left untouched.
 //
 // Exit status: 0 all gates pass (or --update wrote all baselines),
 //              1 at least one regression / missing benchmark,
@@ -23,7 +25,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,12 +42,6 @@ namespace {
                "[<baseline.json> <current.json> ...]\n",
                argv0);
   std::exit(2);
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  // Atomic (temp + fsync + rename): --update can never leave a baseline
-  // half-written, even if the runner is killed mid-write.
-  return mahimahi::util::atomic_write_file(path, content);
 }
 
 }  // namespace
@@ -75,17 +71,21 @@ int main(int argc, char** argv) {
       const std::vector<gate::BenchRow> current =
           gate::load_bench_file(current_path);
       if (update) {
-        // Refresh: keep the tolerance policy, re-pin every measured row.
-        gate::Baseline baseline;
-        try {
-          baseline = gate::load_baseline_file(baseline_path);
-        } catch (const std::exception&) {
+        // Refresh: keep the tolerance policy, re-pin every measured row. A
+        // malformed existing baseline throws (exit 2, file untouched).
+        std::optional<gate::Baseline> existing =
+            gate::load_existing_baseline(baseline_path);
+        if (!existing.has_value()) {
           // First-time pin: defaults apply until tolerances are curated.
           std::fprintf(stderr, "[gate] %s: creating new baseline\n",
                        baseline_path.c_str());
         }
+        gate::Baseline baseline = existing.value_or(gate::Baseline{});
         baseline.rows = current;
-        if (!write_file(baseline_path, gate::make_baseline_json(baseline))) {
+        // Atomic (temp + fsync + rename): a refresh can never leave a
+        // baseline half-written, even if the runner is killed mid-write.
+        if (!util::atomic_write_file(baseline_path,
+                                     gate::make_baseline_json(baseline))) {
           return 2;
         }
         std::printf("updated %s from %s (%zu rows)\n", baseline_path.c_str(),

@@ -16,7 +16,7 @@
 //                         and write three artifacts per cell into DIR:
 //                         cell<i>.trace.json (Chrome trace-event, loadable
 //                         in Perfetto), cell<i>.har (HAR 1.2) and
-//                         cell<i>.csv (mm_trace_dump input). Artifact
+//                         cell<i>.csv (`mm_trace` input). Artifact
 //                         bytes are deterministic at any MAHI_THREADS and
 //                         across --shard splits.
 //     --metrics           derive per-cell metrics (counters, gauges,
@@ -83,6 +83,7 @@
 #include "experiment/runner.hpp"
 #include "obs/profile.hpp"
 #include "util/random.hpp"
+#include "util/strings.hpp"
 
 using namespace mahimahi;
 using namespace mahimahi::experiment;
@@ -116,10 +117,7 @@ std::string spec_file_fingerprint(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  char hash[32];
-  std::snprintf(hash, sizeof hash, "%016llx",
-                static_cast<unsigned long long>(util::fnv1a(buffer.str())));
-  return hash;
+  return util::to_hex(util::fnv1a(buffer.str()));
 }
 
 std::string cell_label(const CellResult& cell) {
