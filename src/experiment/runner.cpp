@@ -230,8 +230,12 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
   }
 
   // --- flatten the work: every load and probe is one independent task ---
+  // Each cell's tasks are contiguous — its loads in load order, then its
+  // probe — so a cell's load-task slots start at pos * tasks_per_cell.
+  const std::size_t tasks_per_cell =
+      static_cast<std::size_t>(loads) + (options.transport_probes ? 1 : 0);
   std::vector<Task> tasks;
-  tasks.reserve(cells.size() * (static_cast<std::size_t>(loads) + 1));
+  tasks.reserve(cells.size() * tasks_per_cell);
   for (std::size_t pos = 0; pos < cells.size(); ++pos) {
     for (int load = 0; load < loads; ++load) {
       tasks.push_back(Task{pos, load, false});
@@ -241,175 +245,8 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
     }
   }
 
-  // Progress accounting (observation only — counts, never results). The
-  // per-cell countdown makes cells_done exact under out-of-order task
-  // completion across the pool.
-  const int tasks_total = static_cast<int>(tasks.size());
-  const int cells_total = static_cast<int>(cells.size());
-  std::atomic<int> tasks_done{0};
-  std::atomic<int> cells_done{0};
-  std::vector<std::atomic<int>> cell_remaining(cells.size());
-  for (std::size_t pos = 0; pos < cells.size(); ++pos) {
-    cell_remaining[pos].store(loads + (options.transport_probes ? 1 : 0),
-                              std::memory_order_relaxed);
-  }
-
-  const int max_attempts = 1 + spec.task_retries;
-  std::vector<TaskResult> outcomes = pool.map(
-      static_cast<int>(tasks.size()), [&](int task_index) {
-        const Task& task = tasks[static_cast<std::size_t>(task_index)];
-        const Cell& cell = cells[task.cell_pos];
-        const TaskKey key{cell.index, task.is_probe ? 0 : task.load_index,
-                          task.is_probe};
-        const auto progress = [&] {
-          if (!options.on_progress) {
-            return;
-          }
-          const int done =
-              tasks_done.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (cell_remaining[task.cell_pos].fetch_sub(
-                  1, std::memory_order_relaxed) == 1) {
-            cells_done.fetch_add(1, std::memory_order_relaxed);
-          }
-          options.on_progress(done, tasks_total,
-                              cells_done.load(std::memory_order_relaxed),
-                              cells_total);
-        };
-        // Resume: a journaled result satisfies the task without running
-        // anything — the copy lands in the same global-index slot the live
-        // run would have filled, so the merge below cannot tell the
-        // difference.
-        const auto it = journal_state.replayed.find(key);
-        if (it != journal_state.replayed.end()) {
-          progress();
-          return it->second;
-        }
-        TaskResult outcome;
-        // Graceful cancellation: stop admitting work. Tasks already past
-        // this check drain normally; this one reports itself skipped and
-        // the merge marks the report interrupted.
-        if (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) {
-          outcome.skipped = 1;
-          progress();
-          return outcome;
-        }
-        const MaterializedCell& cell_net = materialized[task.cell_pos];
-        for (std::uint32_t attempt = 1;; ++attempt) {
-          outcome = TaskResult{};
-          outcome.attempts = attempt;
-          // One Tracer per attempt (the obs determinism contract): a load
-          // task is one deterministic simulation, so its buffer depends
-          // only on (cell seed, load index) — never on threads, sharding
-          // or which attempt finally succeeded.
-          obs::Tracer tracer;
-          obs::Tracer* task_tracer =
-              tracing && !task.is_probe ? &tracer : nullptr;
-          try {
-            if (options.transient_fault &&
-                options.transient_fault(cell.index, task.load_index,
-                                        task.is_probe, attempt)) {
-              throw std::runtime_error{
-                  "transient: injected worker fault (test hook)"};
-            }
-            if (task.is_probe) {
-              MAHI_PROFILE("probe");
-              outcome.probe = net::run_multi_bulk_flow(
-                  cell_probe_spec(cell, cell_net, spec.probe_duration));
-              break;
-            }
-            MAHI_PROFILE("replay");
-            const RecordedSite& entry =
-                recorded[site_pos.at(cell.site.label)];
-            if (cell.fleet.sessions > 1) {
-              // Offered-load cell: one load = one shared-world fleet,
-              // every user contending in the same namespace. The whole
-              // fleet is one indivisible simulation under one task, seeded
-              // from (cell_seed, load index) — deterministic at any thread
-              // count, like every other task. The watchdog deadline covers
-              // the whole mux.
-              fleet::MuxConfig mux_config;
-              mux_config.fleet_seed =
-                  util::Rng{cell.cell_seed}
-                      .fork("fleet-load-" + std::to_string(task.load_index))
-                      .next();
-              mux_config.stagger = cell.fleet.stagger;
-              mux_config.session =
-                  cell_session_config(cell, cell_net, spec.cell_deadline);
-              // A shared-world fleet is one indivisible simulation: the
-              // whole mux traces into this task's one buffer, sessions
-              // told apart by their fleet index (shared infra = -1).
-              mux_config.session.tracer = task_tracer;
-              mux_config.origin = cell_origin_options(cell);
-              mux_config.shared_world = true;
-              fleet::SessionMux mux{entry.store, entry.site.primary_url(),
-                                    mux_config};
-              for (int s = 0; s < cell.fleet.sessions; ++s) {
-                mux.add_session(s);
-              }
-              for (const fleet::SessionOutcome& session : mux.run()) {
-                outcome.plts.push_back(session.plt_ms);
-                outcome.oks.push_back(session.success);
-                outcome.degraded.push_back(session.degraded_plt_ms);
-                outcome.failed_objects.push_back(session.objects_failed);
-                outcome.retries.push_back(session.retries);
-                outcome.timeouts.push_back(session.timeouts);
-              }
-              outcome.trace = tracer.take();
-              break;
-            }
-            core::SessionConfig session_config =
-                cell_session_config(cell, cell_net, spec.cell_deadline);
-            session_config.tracer = task_tracer;
-            const core::ReplaySession session{entry.store, session_config,
-                                              cell_origin_options(cell)};
-            const web::PageLoadResult result =
-                session.load_once(entry.site.primary_url(), task.load_index);
-            outcome.trace = tracer.take();
-            outcome.plts.push_back(to_ms(result.page_load_time));
-            outcome.oks.push_back(result.success ? 1 : 0);
-            outcome.degraded.push_back(to_ms(result.degraded_page_load_time));
-            outcome.failed_objects.push_back(
-                static_cast<std::uint32_t>(result.objects_failed));
-            outcome.retries.push_back(
-                static_cast<std::uint32_t>(result.retries));
-            outcome.timeouts.push_back(
-                static_cast<std::uint32_t>(result.timeouts));
-            break;
-          } catch (const core::WatchdogError& e) {
-            // A watchdog trip is deterministic — the simulation ran out of
-            // virtual time, and rerunning would reproduce it bit-for-bit —
-            // so it is final, never retried. The partial trace (everything
-            // up to the deadline, ending in the kWatchdogExpired event) is
-            // kept: it is the diagnosis.
-            outcome.error = e.what();
-            outcome.trace = tracer.take();
-            break;
-          } catch (const std::exception& e) {
-            // Any other failure becomes a failed row. With task-retries
-            // configured it is first retried with identical inputs, so a
-            // transient worker hiccup heals into the exact bytes an
-            // untroubled run produces; a deterministic failure just fails
-            // the same way again and the last error stands.
-            outcome.error = e.what();
-            if (attempt >= static_cast<std::uint32_t>(max_attempts)) {
-              break;
-            }
-            std::this_thread::sleep_for(retry_backoff(cell, task, attempt));
-          }
-        }
-        // Durability point: the record is fsync'd before the task counts
-        // as done — a SIGKILL after this line cannot lose the result.
-        if (journal_state.writer != nullptr) {
-          MAHI_PROFILE("journal");
-          journal_state.writer->append(encode_task_record(key, outcome));
-        }
-        progress();
-        return outcome;
-      });
-
-  // --- assemble, in cell order (failure logs after the merge, so even
-  // diagnostics are deterministic) ---------------------------------------
+  // The report rows exist before any task runs, so a finalized cell can
+  // drop its metrics block straight into its own row.
   Report report;
   report.name = spec.name;
   report.seed = spec.seed;
@@ -434,6 +271,214 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
     row.fault = cell.fault.label;
     row.loads_expected = loads;
   }
+  if (!options.trace_dir.empty()) {
+    std::filesystem::create_directories(options.trace_dir);
+  }
+
+  // Result slots in task order, filled by the workers.
+  std::vector<TaskResult> outcomes(tasks.size());
+
+  // Finalize one cell: merge its per-load traces by load index (the same
+  // ordering contract as the report rows), derive its metrics block and
+  // export its artifacts, then free the buffers. It runs on the worker
+  // that completes the cell's last task, so finalization overlaps the
+  // simulation of later cells instead of queueing behind the whole
+  // matrix, and only unfinished cells hold trace buffers. The bytes
+  // depend only on the cell's own slots — never on which worker
+  // finalizes it or when — so they are identical at any thread count,
+  // across shard splits and across --resume.
+  const auto finalize_cell = [&](std::size_t pos) {
+    if (!tracing) {
+      return;
+    }
+    std::vector<obs::LoadTrace> traces;
+    traces.reserve(static_cast<std::size_t>(loads));
+    for (int load = 0; load < loads; ++load) {
+      TaskResult& slot =
+          outcomes[pos * tasks_per_cell + static_cast<std::size_t>(load)];
+      traces.push_back(obs::LoadTrace{load, std::move(slot.trace)});
+    }
+    if (options.metrics) {
+      MAHI_PROFILE("metrics");
+      report.cells[pos].metrics_json =
+          obs::derive_cell_metrics(traces).to_json_inline();
+    }
+    if (!options.trace_dir.empty()) {
+      MAHI_PROFILE("export");
+      const Cell& cell = cells[pos];
+      const obs::TraceMeta meta{spec.name, cell.label(), cell.index,
+                                cell.cell_seed};
+      const std::string base =
+          options.trace_dir + "/cell" + std::to_string(cell.index);
+      Report::write_file(base + ".trace.json",
+                         obs::to_chrome_trace(meta, traces));
+      Report::write_file(base + ".har", obs::to_har(meta, traces));
+      Report::write_file(base + ".csv", obs::to_csv(meta, traces));
+    }
+  };
+
+  const int max_attempts = 1 + spec.task_retries;
+  const auto run_task = [&](const Task& task) -> TaskResult {
+    const Cell& cell = cells[task.cell_pos];
+    const TaskKey key{cell.index, task.is_probe ? 0 : task.load_index,
+                      task.is_probe};
+    // Resume: a journaled result satisfies the task without running
+    // anything — it moves into the same global-index slot the live run
+    // would have filled (each key is looked up exactly once), so the merge
+    // cannot tell the difference.
+    const auto it = journal_state.replayed.find(key);
+    if (it != journal_state.replayed.end()) {
+      return std::move(it->second);
+    }
+    TaskResult outcome;
+    // Graceful cancellation: stop admitting work. Tasks already past this
+    // check drain normally; this one reports itself skipped and the merge
+    // marks the report interrupted.
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      outcome.skipped = 1;
+      return outcome;
+    }
+    const MaterializedCell& cell_net = materialized[task.cell_pos];
+    for (std::uint32_t attempt = 1;; ++attempt) {
+      outcome = TaskResult{};
+      outcome.attempts = attempt;
+      // One Tracer per attempt (the obs determinism contract): a load task
+      // is one deterministic simulation, so its buffer depends only on
+      // (cell seed, load index) — never on threads, sharding or which
+      // attempt finally succeeded.
+      obs::Tracer tracer;
+      obs::Tracer* task_tracer =
+          tracing && !task.is_probe ? &tracer : nullptr;
+      try {
+        if (options.transient_fault &&
+            options.transient_fault(cell.index, task.load_index,
+                                    task.is_probe, attempt)) {
+          throw std::runtime_error{
+              "transient: injected worker fault (test hook)"};
+        }
+        if (task.is_probe) {
+          MAHI_PROFILE("probe");
+          outcome.probe = net::run_multi_bulk_flow(
+              cell_probe_spec(cell, cell_net, spec.probe_duration));
+          break;
+        }
+        MAHI_PROFILE("replay");
+        const RecordedSite& entry = recorded[site_pos.at(cell.site.label)];
+        if (cell.fleet.sessions > 1) {
+          // Offered-load cell: one load = one shared-world fleet, every
+          // user contending in the same namespace. The whole fleet is one
+          // indivisible simulation under one task, seeded from (cell_seed,
+          // load index) — deterministic at any thread count, like every
+          // other task. The watchdog deadline covers the whole mux.
+          fleet::MuxConfig mux_config;
+          mux_config.fleet_seed =
+              util::Rng{cell.cell_seed}
+                  .fork("fleet-load-" + std::to_string(task.load_index))
+                  .next();
+          mux_config.stagger = cell.fleet.stagger;
+          mux_config.session =
+              cell_session_config(cell, cell_net, spec.cell_deadline);
+          // A shared-world fleet is one indivisible simulation: the whole
+          // mux traces into this task's one buffer, sessions told apart by
+          // their fleet index (shared infra = -1).
+          mux_config.session.tracer = task_tracer;
+          mux_config.origin = cell_origin_options(cell);
+          mux_config.shared_world = true;
+          fleet::SessionMux mux{entry.store, entry.site.primary_url(),
+                                mux_config};
+          for (int s = 0; s < cell.fleet.sessions; ++s) {
+            mux.add_session(s);
+          }
+          for (const fleet::SessionOutcome& session : mux.run()) {
+            outcome.plts.push_back(session.plt_ms);
+            outcome.oks.push_back(session.success);
+            outcome.degraded.push_back(session.degraded_plt_ms);
+            outcome.failed_objects.push_back(session.objects_failed);
+            outcome.retries.push_back(session.retries);
+            outcome.timeouts.push_back(session.timeouts);
+          }
+          outcome.trace = tracer.take();
+          break;
+        }
+        core::SessionConfig session_config =
+            cell_session_config(cell, cell_net, spec.cell_deadline);
+        session_config.tracer = task_tracer;
+        const core::ReplaySession session{entry.store, session_config,
+                                          cell_origin_options(cell)};
+        const web::PageLoadResult result =
+            session.load_once(entry.site.primary_url(), task.load_index);
+        outcome.trace = tracer.take();
+        outcome.plts.push_back(to_ms(result.page_load_time));
+        outcome.oks.push_back(result.success ? 1 : 0);
+        outcome.degraded.push_back(to_ms(result.degraded_page_load_time));
+        outcome.failed_objects.push_back(
+            static_cast<std::uint32_t>(result.objects_failed));
+        outcome.retries.push_back(static_cast<std::uint32_t>(result.retries));
+        outcome.timeouts.push_back(
+            static_cast<std::uint32_t>(result.timeouts));
+        break;
+      } catch (const core::WatchdogError& e) {
+        // A watchdog trip is deterministic — the simulation ran out of
+        // virtual time, and rerunning would reproduce it bit-for-bit — so
+        // it is final, never retried. The partial trace (everything up to
+        // the deadline, ending in the kWatchdogExpired event) is kept: it
+        // is the diagnosis.
+        outcome.error = e.what();
+        outcome.trace = tracer.take();
+        break;
+      } catch (const std::exception& e) {
+        // Any other failure becomes a failed row. With task-retries
+        // configured it is first retried with identical inputs, so a
+        // transient worker hiccup heals into the exact bytes an untroubled
+        // run produces; a deterministic failure just fails the same way
+        // again and the last error stands.
+        outcome.error = e.what();
+        if (attempt >= static_cast<std::uint32_t>(max_attempts)) {
+          break;
+        }
+        std::this_thread::sleep_for(retry_backoff(cell, task, attempt));
+      }
+    }
+    // Durability point: the record is fsync'd before the task counts as
+    // done — a SIGKILL after this line cannot lose the result.
+    if (journal_state.writer != nullptr) {
+      MAHI_PROFILE("journal");
+      journal_state.writer->append(encode_task_record(key, outcome));
+    }
+    return outcome;
+  };
+
+  // Per-cell countdown of unfinished tasks: whichever worker takes it to
+  // zero finalizes the cell. The acq_rel decrement orders every sibling's
+  // slot write before the finalizer's reads. Progress is observation only
+  // — counts, never results — and a cell counts as done once finalized.
+  const int tasks_total = static_cast<int>(tasks.size());
+  const int cells_total = static_cast<int>(cells.size());
+  std::atomic<int> tasks_done{0};
+  std::atomic<int> cells_done{0};
+  std::vector<std::atomic<int>> cell_remaining(cells.size());
+  for (std::atomic<int>& remaining : cell_remaining) {
+    remaining.store(static_cast<int>(tasks_per_cell),
+                    std::memory_order_relaxed);
+  }
+  pool.run_indexed(tasks_total, [&](int task_index) {
+    const Task& task = tasks[static_cast<std::size_t>(task_index)];
+    outcomes[static_cast<std::size_t>(task_index)] = run_task(task);
+    if (cell_remaining[task.cell_pos].fetch_sub(
+            1, std::memory_order_acq_rel) == 1) {
+      finalize_cell(task.cell_pos);
+      cells_done.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (options.on_progress) {
+      options.on_progress(
+          tasks_done.fetch_add(1, std::memory_order_relaxed) + 1, tasks_total,
+          cells_done.load(std::memory_order_relaxed), cells_total);
+    }
+  });
+
+  // --- fold task results into the rows, in task order (failure logs
+  // after the run, so even diagnostics are deterministic) -----------------
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const Task& task = tasks[i];
     const TaskResult& outcome = outcomes[i];
@@ -532,43 +577,6 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
                        obs::to_csv(meta, runner_trace));
   }
 
-  if (tracing) {
-    // Per-cell traces, merged by global load index — the same ordering
-    // contract as the report rows, so both the exported bytes and the
-    // derived metrics are identical at any thread count and across shard
-    // splits (and across --resume, which replays the same buffers).
-    std::vector<std::vector<obs::LoadTrace>> cell_traces(cells.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const Task& task = tasks[i];
-      if (task.is_probe) {
-        continue;
-      }
-      cell_traces[task.cell_pos].push_back(
-          obs::LoadTrace{task.load_index, std::move(outcomes[i].trace)});
-    }
-    if (options.metrics) {
-      MAHI_PROFILE("metrics");
-      for (std::size_t pos = 0; pos < cells.size(); ++pos) {
-        report.cells[pos].metrics_json =
-            obs::derive_cell_metrics(cell_traces[pos]).to_json_inline();
-      }
-    }
-    if (!options.trace_dir.empty()) {
-      MAHI_PROFILE("export");
-      std::filesystem::create_directories(options.trace_dir);
-      for (std::size_t pos = 0; pos < cells.size(); ++pos) {
-        const Cell& cell = cells[pos];
-        const obs::TraceMeta meta{spec.name, cell.label(), cell.index,
-                                  cell.cell_seed};
-        const std::string base =
-            options.trace_dir + "/cell" + std::to_string(cell.index);
-        Report::write_file(base + ".trace.json",
-                           obs::to_chrome_trace(meta, cell_traces[pos]));
-        Report::write_file(base + ".har", obs::to_har(meta, cell_traces[pos]));
-        Report::write_file(base + ".csv", obs::to_csv(meta, cell_traces[pos]));
-      }
-    }
-  }
   return report;
 }
 

@@ -34,7 +34,10 @@ struct RunOptions {
   /// cell<index>.csv (time series, the `mm_trace` input). Tracing
   /// follows the same determinism contract as the report: one Tracer per
   /// task, buffers merged by load index, so artifact bytes are identical
-  /// at any thread or shard count. Off (empty) = zero tracing overhead.
+  /// at any thread or shard count. A cell's artifacts are written by the
+  /// worker that finishes its last task, while later cells still run, and
+  /// its buffers are freed right after. Off (empty) = zero tracing
+  /// overhead.
   std::string trace_dir{};
   /// Derive per-cell metrics (counters / gauges / log-bucketed histograms:
   /// queue residence, cwnd convergence, retransmit bursts, PLT critical
@@ -42,13 +45,16 @@ struct RunOptions {
   /// as a "metrics" block. Implies tracing internally — every load task
   /// records a trace buffer even when trace_dir is empty — but artifacts
   /// are only exported when trace_dir is set. Metrics derive from the
-  /// merged per-cell traces (load-index order), so they obey the same
-  /// byte-determinism contract as the report and survive --resume.
+  /// merged per-cell traces (load-index order) as each cell finishes, so
+  /// they obey the same byte-determinism contract as the report and
+  /// survive --resume.
   bool metrics{false};
   /// Progress callback (tasks_done, tasks_total, cells_done, cells_total),
-  /// invoked from worker threads after every finished task. Observation
-  /// only: it sees completion counts, never results, so it cannot perturb
-  /// any artifact. Callers throttle/render (mm_experiment --progress).
+  /// invoked from worker threads after every finished task. A cell counts
+  /// as done once its metrics block and trace artifacts are written.
+  /// Observation only: it sees completion counts, never results, so it
+  /// cannot perturb any artifact. Callers throttle/render (mm_experiment
+  /// --progress).
   std::function<void(int, int, int, int)> on_progress{};
   /// When non-empty: crash-safe execution. The directory receives a
   /// MANIFEST pinning the run's identity (spec/matrix/toolchain hashes), a
@@ -83,8 +89,9 @@ struct RunOptions {
 
 /// Expand the spec's matrix, record each corpus site once, fan every
 /// (cell, load) page load and every per-cell transport probe as an
-/// independent task across the pool, and assemble the Report in cell
-/// order.
+/// independent task across the pool — the worker finishing a cell's last
+/// task also derives that cell's metrics and exports its traces — and
+/// assemble the Report in cell order.
 ///
 /// Determinism contract: each site records under a seed forked from
 /// (spec.seed, site label); each cell's SessionConfig.seed is forked from

@@ -127,8 +127,9 @@ struct PageRecord {
 };
 
 /// Everything one load produced. Buffers are plain values: the experiment
-/// runner keeps one per (cell, load) task and merges them by load index,
-/// so the merged artifact is independent of thread/shard scheduling.
+/// runner keeps one per (cell, load) task and, once the cell's last task
+/// finishes, merges them by load index, so the merged artifact is
+/// independent of thread/shard scheduling.
 struct TraceBuffer {
   std::vector<TraceEvent> events;
   std::vector<ObjectRecord> objects;

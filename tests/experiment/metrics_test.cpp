@@ -1,11 +1,15 @@
 // The derived-metrics contract through the experiment engine: the
 // per-cell "metrics" report block is byte-identical at any thread count
 // and across shard splits, appears only when asked for, derives the same
-// with or without trace artifacts on disk — and the wall-clock profiler,
-// which observes these same runs, perturbs none of their bytes.
+// with or without trace artifacts on disk, is finalized per cell before
+// the cell counts as done — and the wall-clock profiler, which observes
+// these same runs, perturbs none of their bytes.
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -206,6 +210,79 @@ TEST(ExperimentMetrics, ProfilerPerturbsNothing) {
   EXPECT_NE(std::find(names.begin(), names.end(), "replay"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "metrics"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "export"), names.end());
+}
+
+TEST(ExperimentMetrics, CellsAreFinalizedBeforeTheyCountAsDone) {
+  // Each cell's metrics and artifacts are produced by the worker that
+  // finishes the cell, not in a tail after the whole matrix: whenever a
+  // progress tick reports k cells done, k cells' files are already on disk.
+  const ExperimentSpec spec = small_spec();
+  for (const int threads : {1, 4}) {
+    core::ParallelRunner runner{threads};
+    const fs::path dir = fresh_dir("finalize-" + std::to_string(threads));
+    RunOptions options;
+    options.runner = &runner;
+    options.transport_probes = false;
+    options.metrics = true;
+    options.trace_dir = dir.string();
+    std::mutex mutex;
+    int early_ticks = 0;
+    int most_cells = 0;
+    options.on_progress = [&](int, int, int cells_done, int) {
+      int exported = 0;
+      for (int cell = 0; cell < 2; ++cell) {
+        exported += fs::exists(dir / ("cell" + std::to_string(cell) + ".csv"))
+                        ? 1
+                        : 0;
+      }
+      const std::lock_guard<std::mutex> lock{mutex};
+      early_ticks += exported < cells_done ? 1 : 0;
+      most_cells = std::max(most_cells, cells_done);
+    };
+    const Report report = run_experiment(spec, options);
+    EXPECT_EQ(early_ticks, 0) << threads << " thread(s)";
+    EXPECT_EQ(most_cells, 2) << threads << " thread(s)";
+    for (const CellResult& cell : report.cells) {
+      EXPECT_FALSE(cell.metrics_json.empty());
+    }
+  }
+}
+
+TEST(ExperimentMetrics, CellFinishedBeforeCancellationKeepsItsBytes) {
+  // One worker runs tasks in order, so cancelling at the first finished
+  // cell leaves cell 0 complete and cell 1 skipped. Cell 0 was finalized
+  // mid-run; its metrics block and artifacts are exactly the clean run's,
+  // and the skipped cell still gets its (load-less) artifacts.
+  const ExperimentSpec spec = small_spec();
+  core::ParallelRunner one{1};
+  RunOptions clean;
+  clean.runner = &one;
+  clean.transport_probes = false;
+  clean.metrics = true;
+  const fs::path clean_dir = fresh_dir("finalize-clean");
+  clean.trace_dir = clean_dir.string();
+  const Report full = run_experiment(spec, clean);
+
+  std::atomic<bool> cancel{false};
+  RunOptions cut = clean;
+  const fs::path cut_dir = fresh_dir("finalize-cut");
+  cut.trace_dir = cut_dir.string();
+  cut.cancel = &cancel;
+  cut.on_progress = [&](int, int, int cells_done, int) {
+    if (cells_done > 0) {
+      cancel.store(true);
+    }
+  };
+  const Report partial = run_experiment(spec, cut);
+  ASSERT_TRUE(partial.interrupted);
+  EXPECT_EQ(partial.cells[0].loads_done, 2);
+  EXPECT_EQ(partial.cells[1].loads_done, 0);
+  EXPECT_EQ(partial.cells[0].metrics_json, full.cells[0].metrics_json);
+  for (const char* suffix : {".trace.json", ".har", ".csv"}) {
+    const std::string name = std::string{"cell0"} + suffix;
+    EXPECT_EQ(read_file(cut_dir / name), read_file(clean_dir / name)) << name;
+    EXPECT_TRUE(fs::exists(cut_dir / (std::string{"cell1"} + suffix)));
+  }
 }
 
 }  // namespace
