@@ -14,14 +14,24 @@
 //   - the trace is non-trivial (events from link, tcp, dns and browser
 //     layers all present).
 //
+// Heap work: a counting global operator new, armed only inside the
+// untraced load_once() calls, reports heap allocations and bytes
+// allocated per replayed load (world build, serving, parsing, browsing).
+// Each HTTP body is copied once per side, so a copy or allocation that
+// creeps back into the replay path moves these rows past the gate.
+//
 // Output: BENCH_obs.json (override with MAHI_OBS_JSON). Wall-clock rows
 // are informational (negative tolerance in the baseline); event/object
-// counts and export byte sizes are deterministic and pinned at the
-// default 0.05 band.
+// counts, export byte sizes and the heap rows are deterministic and
+// pinned at the default 0.05 band.
 //
 // Scale knobs: MAHI_OBS_LOADS (loads per scenario, default 6).
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -31,6 +41,31 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "web/browser.hpp"
+
+namespace {
+std::atomic<bool> g_count_heap{false};
+std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_heap.load(std::memory_order_relaxed)) {
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+// Out of line: inlined into a caller, GCC would pair the free() with that
+// caller's `new` and warn about a mismatch.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace mahimahi;
 using namespace mahimahi::bench;
@@ -76,8 +111,10 @@ int main() {
   {
     const core::ReplaySession session{page.store, session_config()};
     for (int i = 0; i < loads; ++i) {
-      untraced_plt_us.push_back(
-          static_cast<double>(session.load_once(url, i).page_load_time));
+      g_count_heap = true;
+      const Microseconds plt = session.load_once(url, i).page_load_time;
+      g_count_heap = false;
+      untraced_plt_us.push_back(static_cast<double>(plt));
     }
   }
   const double untraced_s = untraced_timer.elapsed_seconds();
@@ -144,6 +181,10 @@ int main() {
 
   const double per_load_ns_untraced = untraced_s * 1e9 / loads;
   const double per_load_ns_traced = traced_s * 1e9 / loads;
+  const double heap_allocs_per_load =
+      static_cast<double>(g_heap_allocs.load()) / loads;
+  const double heap_kbytes_per_load =
+      static_cast<double>(g_heap_bytes.load()) / 1024.0 / loads;
   print_rule();
   std::printf("trace overhead: %d load(s), %zu events, %zu objects\n", loads,
               events, objects);
@@ -157,6 +198,8 @@ int main() {
               chrome.size(), har.size(), csv.size());
   std::printf("  metrics   %zu series, %zu B json\n", metrics.size(),
               metrics_json.size());
+  std::printf("  heap      %.1f allocs/load, %.1f kB/load (untraced)\n",
+              heap_allocs_per_load, heap_kbytes_per_load);
   if (!ok) {
     return 1;
   }
@@ -174,6 +217,8 @@ int main() {
   report.add({"obs_metrics_count", static_cast<double>(metrics.size()), 0, 0});
   report.add({"obs_metrics_json_bytes",
               static_cast<double>(metrics_json.size()), 0, 0});
+  report.add({"replay_heap_allocs_per_load", heap_allocs_per_load, 0, 0});
+  report.add({"replay_heap_kbytes_per_load", heap_kbytes_per_load, 0, 0});
   const char* out = std::getenv("MAHI_OBS_JSON");
   report.write(out != nullptr ? out : "BENCH_obs.json");
   return 0;

@@ -79,28 +79,32 @@ int main() {
   record::RecordStore store;
   record::RecordingProxy proxy{inner, outer, store};
 
+  const auto api = [](const http::Request& request) {
+    if (request.target == "/api/login") {
+      return http::make_ok(R"({"token":"abc123"})", "application/json");
+    }
+    if (request.target == "/api/items") {
+      std::string items = "{\"items\":[";
+      for (int i = 0; i < 40; ++i) {
+        if (i > 0) {
+          items += ',';
+        }
+        items += std::to_string(i);
+      }
+      return http::make_ok(items + "]}", "application/json");
+    }
+    if (request.target == "/api/items/17") {
+      return http::make_ok(std::string(2000, 'x'), "application/json");
+    }
+    if (request.target == "/api/items/17/read") {
+      return http::make_ok(R"({"ok":true})", "application/json");
+    }
+    return http::make_not_found(request.target);
+  };
   net::HttpServer service{
-      outer, service_addr, [](const http::Request& request) {
-        if (request.target == "/api/login") {
-          return http::make_ok(R"({"token":"abc123"})", "application/json");
-        }
-        if (request.target == "/api/items") {
-          std::string items = "{\"items\":[";
-          for (int i = 0; i < 40; ++i) {
-            if (i > 0) {
-              items += ',';
-            }
-            items += std::to_string(i);
-          }
-          return http::make_ok(items + "]}", "application/json");
-        }
-        if (request.target == "/api/items/17") {
-          return http::make_ok(std::string(2000, 'x'), "application/json");
-        }
-        if (request.target == "/api/items/17/read") {
-          return http::make_ok(R"({"ok":true})", "application/json");
-        }
-        return http::make_not_found(request.target);
+      outer, service_addr,
+      [api](const http::Request& request) {
+        return http::to_framed_bytes(api(request));
       },
       /*processing_delay=*/3'000};
 

@@ -59,7 +59,7 @@ LiveWeb::LiveWeb(net::Fabric& fabric, const GeneratedSite& site,
         [content](const http::Request& request) {
           const auto it = content->find(request.target);
           if (it == content->end()) {
-            return http::make_not_found(request.target);
+            return http::to_framed_bytes(http::make_not_found(request.target));
           }
           http::Response response;
           response.status = 200;
@@ -69,8 +69,7 @@ LiveWeb::LiveWeb(net::Fabric& fabric, const GeneratedSite& site,
               std::string{http::content_type_for_kind(it->second->kind)});
           response.headers.add("Server", "origin/1.0");
           response.body = it->second->body;
-          http::finalize_content_length(response);
-          return response;
+          return http::to_framed_bytes(response);
         },
         think, config.tcp));
   }

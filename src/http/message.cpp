@@ -1,6 +1,8 @@
 #include "http/message.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <iterator>
+#include <optional>
 
 #include "http/status.hpp"
 #include "util/strings.hpp"
@@ -24,11 +26,102 @@ bool is_chunked(const HeaderMap& headers) {
   return te && value_has_token(*te, "chunked");
 }
 
-void append_headers(std::ostringstream& out, const HeaderMap& headers) {
-  for (const auto& field : headers) {
-    out << field.name << ": " << field.value << "\r\n";
+/// The Content-Length value `finalize_content_length` writes, or nullopt
+/// when it leaves the headers as they are. Requests without a body are
+/// self-framing; responses always declare a length (even zero) unless
+/// chunked or the status forbids a body, because an unframed response
+/// means read-until-close.
+std::optional<std::size_t> framed_length(const Request& request) {
+  if (request.body.empty() || is_chunked(request.headers)) {
+    return std::nullopt;
   }
-  out << "\r\n";
+  return request.body.size();
+}
+
+std::optional<std::size_t> framed_length(const Response& response) {
+  if (is_chunked(response.headers) || status_has_no_body(response.status)) {
+    return std::nullopt;
+  }
+  return response.body.size();
+}
+
+template <typename Sink, typename Integer>
+void emit_decimal(const Sink& sink, Integer value) {
+  char digits[24];
+  const char* end =
+      std::to_chars(std::begin(digits), std::end(digits), value).ptr;
+  sink(std::string_view{digits, static_cast<std::size_t>(end - digits)});
+}
+
+/// Header section. A `content_length` is written the way HeaderMap::set
+/// would leave it: into the first Content-Length field (keeping that
+/// field's spelling) with any duplicates dropped, else appended last.
+template <typename Sink>
+void emit_headers(const Sink& sink, const HeaderMap& headers,
+                  std::optional<std::size_t> content_length) {
+  bool length_written = false;
+  for (const auto& field : headers) {
+    if (content_length && util::iequals(field.name, "Content-Length")) {
+      if (!length_written) {
+        length_written = true;
+        sink(field.name);
+        sink(": ");
+        emit_decimal(sink, *content_length);
+        sink("\r\n");
+      }
+      continue;
+    }
+    sink(field.name);
+    sink(": ");
+    sink(field.value);
+    sink("\r\n");
+  }
+  if (content_length && !length_written) {
+    sink("Content-Length: ");
+    emit_decimal(sink, *content_length);
+    sink("\r\n");
+  }
+  sink("\r\n");
+}
+
+/// Runs `emit` twice over the same pieces: once to size the message, once
+/// to append it into a buffer reserved to exactly that size.
+template <typename Emit>
+std::string write_exact(const Emit& emit) {
+  std::size_t size = 0;
+  emit([&size](std::string_view piece) { size += piece.size(); });
+  std::string out;
+  out.reserve(size);
+  emit([&out](std::string_view piece) { out.append(piece); });
+  return out;
+}
+
+std::string serialize(const Request& request,
+                      std::optional<std::size_t> content_length) {
+  return write_exact([&](const auto& sink) {
+    sink(method_name(request.method));
+    sink(" ");
+    sink(request.target);
+    sink(" ");
+    sink(request.version);
+    sink("\r\n");
+    emit_headers(sink, request.headers, content_length);
+    sink(request.body);
+  });
+}
+
+std::string serialize(const Response& response,
+                      std::optional<std::size_t> content_length) {
+  return write_exact([&](const auto& sink) {
+    sink(response.version);
+    sink(" ");
+    emit_decimal(sink, response.status);
+    sink(" ");
+    sink(response.reason);
+    sink("\r\n");
+    emit_headers(sink, response.headers, content_length);
+    sink(response.body);
+  });
 }
 
 }  // namespace
@@ -72,39 +165,31 @@ bool Request::keep_alive() const { return message_keep_alive(headers, version); 
 bool Response::keep_alive() const { return message_keep_alive(headers, version); }
 
 std::string to_bytes(const Request& request) {
-  std::ostringstream out;
-  out << method_name(request.method) << ' ' << request.target << ' '
-      << request.version << "\r\n";
-  append_headers(out, request.headers);
-  out << request.body;
-  return out.str();
+  return serialize(request, std::nullopt);
 }
 
 std::string to_bytes(const Response& response) {
-  std::ostringstream out;
-  out << response.version << ' ' << response.status << ' ' << response.reason
-      << "\r\n";
-  append_headers(out, response.headers);
-  out << response.body;
-  return out.str();
+  return serialize(response, std::nullopt);
+}
+
+std::string to_framed_bytes(const Request& request) {
+  return serialize(request, framed_length(request));
+}
+
+std::string to_framed_bytes(const Response& response) {
+  return serialize(response, framed_length(response));
 }
 
 void finalize_content_length(Request& request) {
-  // Requests without a body are self-framing (no length header needed).
-  if (request.body.empty() || is_chunked(request.headers)) {
-    return;
+  if (const auto length = framed_length(request)) {
+    request.headers.set("Content-Length", std::to_string(*length));
   }
-  request.headers.set("Content-Length", std::to_string(request.body.size()));
 }
 
 void finalize_content_length(Response& response) {
-  // Responses are different: a missing Content-Length means
-  // read-until-close framing, so even empty bodies must be declared
-  // (unless the status itself forbids a body).
-  if (is_chunked(response.headers) || status_has_no_body(response.status)) {
-    return;
+  if (const auto length = framed_length(response)) {
+    response.headers.set("Content-Length", std::to_string(*length));
   }
-  response.headers.set("Content-Length", std::to_string(response.body.size()));
 }
 
 Request make_get(std::string_view url_text, const HeaderMap& extra) {

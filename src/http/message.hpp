@@ -45,9 +45,16 @@ struct Response {
 };
 
 /// Serialize to wire bytes exactly as stored (headers are not invented;
-/// call `finalize_content_length` first if the message needs framing).
+/// use `to_framed_bytes` when the message needs framing).
 std::string to_bytes(const Request& request);
 std::string to_bytes(const Response& response);
+
+/// The bytes of `finalize_content_length` on a copy followed by `to_bytes`,
+/// without the copy: the Content-Length framing is written on the fly into
+/// one buffer reserved to the exact wire size, so every body byte is
+/// copied once. This is what server handlers return (see HttpServer).
+std::string to_framed_bytes(const Request& request);
+std::string to_framed_bytes(const Response& response);
 
 /// Ensure the message is self-framing. Requests: set Content-Length when a
 /// body is present (bodiless requests need no framing). Responses: always

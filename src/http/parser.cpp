@@ -12,8 +12,24 @@ void MessageParser::push(std::string_view bytes) {
   if (failed_ || closed_) {
     return;
   }
+  // process() drains staged bytes into the body, so nothing is staged in
+  // a body state: body bytes go straight into the message body, with no
+  // staging copy and no erase.
+  while (!bytes.empty() && in_body()) {
+    bytes.remove_prefix(append_body(bytes));
+  }
+  if (bytes.empty()) {
+    return;
+  }
   buffer_.append(bytes);
   process();
+  // Drop the parsed prefix once per push.
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+  } else {
+    buffer_.erase(0, consumed_);
+  }
+  consumed_ = 0;
 }
 
 void MessageParser::on_close() {
@@ -26,7 +42,7 @@ void MessageParser::on_close() {
       finish_message();
       break;
     case State::kStartLine:
-      if (!buffer_.empty()) {
+      if (buffered_bytes() != 0) {
         fail("connection closed mid start-line");
       }
       break;
@@ -43,20 +59,23 @@ void MessageParser::fail(std::string message) {
   error_ = std::move(message);
   state_ = State::kFailed;
   buffer_.clear();
+  consumed_ = 0;
 }
 
-bool MessageParser::take_line(std::string& line) {
-  const std::size_t lf = buffer_.find('\n');
-  if (lf == std::string::npos) {
-    if (buffer_.size() > kMaxHeaderBytes) {
+bool MessageParser::take_line(std::string_view& line) {
+  const std::string_view pending = std::string_view{buffer_}.substr(consumed_);
+  const std::size_t lf = pending.find('\n');
+  if (lf == std::string_view::npos) {
+    if (pending.size() > kMaxHeaderBytes) {
       fail("header line exceeds limit");
     }
     return false;
   }
   // Tolerate bare LF line endings the way real servers do.
-  const std::size_t line_end = (lf > 0 && buffer_[lf - 1] == '\r') ? lf - 1 : lf;
-  line = buffer_.substr(0, line_end);
-  buffer_.erase(0, lf + 1);
+  const std::size_t line_end =
+      (lf > 0 && pending[lf - 1] == '\r') ? lf - 1 : lf;
+  line = pending.substr(0, line_end);
+  consumed_ += lf + 1;
   return true;
 }
 
@@ -74,6 +93,8 @@ void MessageParser::begin_body() {
       if (remaining_ == 0) {
         finish_message();
       } else {
+        body().reserve(static_cast<std::size_t>(
+            std::min<std::uint64_t>(remaining_, kMaxBodyReserve)));
         state_ = State::kBodyIdentity;
       }
       break;
@@ -84,6 +105,25 @@ void MessageParser::begin_body() {
       state_ = State::kBodyToClose;
       break;
   }
+}
+
+std::size_t MessageParser::append_body(std::string_view bytes) {
+  if (state_ == State::kBodyToClose) {
+    body().append(bytes);
+    return bytes.size();
+  }
+  const std::size_t take = static_cast<std::size_t>(
+      std::min<std::uint64_t>(remaining_, bytes.size()));
+  body().append(bytes.substr(0, take));
+  remaining_ -= take;
+  if (remaining_ == 0) {
+    if (state_ == State::kBodyIdentity) {
+      finish_message();
+    } else {
+      state_ = State::kBodyChunkCrlf;
+    }
+  }
+  return take;
 }
 
 void MessageParser::finish_message() {
@@ -99,7 +139,7 @@ void MessageParser::process() {
   while (!failed_) {
     switch (state_) {
       case State::kStartLine: {
-        std::string line;
+        std::string_view line;
         if (!take_line(line)) {
           return;
         }
@@ -115,7 +155,7 @@ void MessageParser::process() {
       }
 
       case State::kHeaders: {
-        std::string line;
+        std::string_view line;
         if (!take_line(line)) {
           return;
         }
@@ -129,37 +169,32 @@ void MessageParser::process() {
           continue;
         }
         const std::size_t colon = line.find(':');
-        if (colon == std::string::npos || colon == 0) {
-          fail("malformed header field: " + line);
+        if (colon == std::string_view::npos || colon == 0) {
+          fail("malformed header field: " + std::string{line});
           return;
         }
-        std::string name = line.substr(0, colon);
+        std::string name{line.substr(0, colon)};
         if (name.back() == ' ' || name.back() == '\t') {
-          fail("whitespace before header colon: " + line);
+          fail("whitespace before header colon: " + std::string{line});
           return;
         }
-        std::string value{util::trim(std::string_view{line}.substr(colon + 1))};
+        std::string value{util::trim(line.substr(colon + 1))};
         handle_header(std::move(name), std::move(value));
         break;
       }
 
-      case State::kBodyIdentity: {
-        if (buffer_.empty()) {
+      case State::kBodyIdentity:
+      case State::kBodyChunkData:
+      case State::kBodyToClose: {
+        if (consumed_ == buffer_.size()) {
           return;
         }
-        const std::size_t take =
-            static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, buffer_.size()));
-        handle_body(std::string_view{buffer_}.substr(0, take));
-        buffer_.erase(0, take);
-        remaining_ -= take;
-        if (remaining_ == 0) {
-          finish_message();
-        }
+        consumed_ += append_body(std::string_view{buffer_}.substr(consumed_));
         break;
       }
 
       case State::kBodyChunkSize: {
-        std::string line;
+        std::string_view line;
         if (!take_line(line)) {
           return;
         }
@@ -169,7 +204,7 @@ void MessageParser::process() {
         (void)extensions;
         std::uint64_t size = 0;
         if (!util::parse_hex_u64(util::trim(size_text), size)) {
-          fail("bad chunk size: " + line);
+          fail("bad chunk size: " + std::string{line});
           return;
         }
         if (size == 0) {
@@ -181,23 +216,8 @@ void MessageParser::process() {
         break;
       }
 
-      case State::kBodyChunkData: {
-        if (buffer_.empty()) {
-          return;
-        }
-        const std::size_t take =
-            static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, buffer_.size()));
-        handle_body(std::string_view{buffer_}.substr(0, take));
-        buffer_.erase(0, take);
-        remaining_ -= take;
-        if (remaining_ == 0) {
-          state_ = State::kBodyChunkCrlf;
-        }
-        break;
-      }
-
       case State::kBodyChunkCrlf: {
-        std::string line;
+        std::string_view line;
         if (!take_line(line)) {
           return;
         }
@@ -210,7 +230,7 @@ void MessageParser::process() {
       }
 
       case State::kBodyTrailers: {
-        std::string line;
+        std::string_view line;
         if (!take_line(line)) {
           return;
         }
@@ -220,22 +240,13 @@ void MessageParser::process() {
         }
         // Trailer fields are parsed and appended as ordinary headers.
         const std::size_t colon = line.find(':');
-        if (colon == std::string::npos || colon == 0) {
-          fail("malformed trailer field: " + line);
+        if (colon == std::string_view::npos || colon == 0) {
+          fail("malformed trailer field: " + std::string{line});
           return;
         }
-        handle_header(line.substr(0, colon),
-                      std::string{util::trim(std::string_view{line}.substr(colon + 1))});
+        handle_header(std::string{line.substr(0, colon)},
+                      std::string{util::trim(line.substr(colon + 1))});
         break;
-      }
-
-      case State::kBodyToClose: {
-        if (buffer_.empty()) {
-          return;
-        }
-        handle_body(buffer_);
-        buffer_.clear();
-        return;
       }
 
       case State::kFailed:
@@ -303,10 +314,6 @@ MessageParser::Framing RequestParser::decide_framing() {
   }
   framing.kind = Framing::Kind::kNone;  // requests never read-to-close
   return framing;
-}
-
-void RequestParser::handle_body(std::string_view bytes) {
-  current_.body.append(bytes);
 }
 
 void RequestParser::handle_complete() {
@@ -388,10 +395,6 @@ MessageParser::Framing ResponseParser::decide_framing() {
   }
   framing.kind = Framing::Kind::kToClose;
   return framing;
-}
-
-void ResponseParser::handle_body(std::string_view bytes) {
-  current_.body.append(bytes);
 }
 
 void ResponseParser::handle_complete() {

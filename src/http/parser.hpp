@@ -17,6 +17,11 @@ namespace mahimahi::http {
 /// only) read-until-close. Multiple pipelined messages in one buffer are
 /// handled.
 ///
+/// Body bytes are copied once, into the message body: bytes that arrive
+/// mid-body bypass the staging buffer, and a declared Content-Length
+/// reserves the body up front (capped at kMaxBodyReserve, so a hostile or
+/// corrupt length cannot reserve memory for bytes that never arrive).
+///
 /// On malformed input the parser latches into an error state; callers
 /// (proxy, origin servers) translate that into a 400 or a dropped
 /// connection, mirroring what Apache does.
@@ -39,11 +44,16 @@ class MessageParser {
   /// Number of complete messages waiting to be popped.
   [[nodiscard]] std::size_t pending() const { return complete_count_; }
 
-  /// Bytes buffered but not yet part of a complete message.
-  [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size(); }
+  /// Bytes staged but not yet parsed (body bytes never wait here).
+  [[nodiscard]] std::size_t buffered_bytes() const {
+    return buffer_.size() - consumed_;
+  }
 
   /// Header-section size limit; guards against unbounded buffering.
   static constexpr std::size_t kMaxHeaderBytes = 1 << 20;
+
+  /// Largest up-front body reservation a Content-Length header can cause.
+  static constexpr std::size_t kMaxBodyReserve = 1 << 20;
 
  protected:
   MessageParser() = default;
@@ -63,8 +73,8 @@ class MessageParser {
   };
   virtual Framing decide_framing() = 0;
 
-  /// Append body bytes to the in-progress message.
-  virtual void handle_body(std::string_view bytes) = 0;
+  /// The in-progress message's body, which body bytes are appended to.
+  virtual std::string& body() = 0;
 
   /// The in-progress message is complete.
   virtual void handle_complete() = 0;
@@ -87,12 +97,23 @@ class MessageParser {
   };
 
   void process();
-  bool take_line(std::string& line);
+  bool take_line(std::string_view& line);
   void begin_body();
+  /// In a body state: append the bytes of `bytes` that belong to the body
+  /// (advancing the state when it completes); returns how many were taken.
+  std::size_t append_body(std::string_view bytes);
   void finish_message();
 
+  [[nodiscard]] bool in_body() const {
+    return state_ == State::kBodyIdentity || state_ == State::kBodyChunkData ||
+           state_ == State::kBodyToClose;
+  }
+
   State state_{State::kStartLine};
+  /// Staged bytes; [0, consumed_) is parsed and dropped at the end of
+  /// each push, so line parsing never memmoves the unparsed tail.
   std::string buffer_;
+  std::size_t consumed_{0};
   std::size_t header_bytes_{0};
   std::uint64_t remaining_{0};  // identity body or current chunk remaining
   bool closed_{false};
@@ -110,7 +131,7 @@ class RequestParser final : public MessageParser {
   bool handle_start_line(std::string_view line) override;
   void handle_header(std::string name, std::string value) override;
   Framing decide_framing() override;
-  void handle_body(std::string_view bytes) override;
+  std::string& body() override { return current_.body; }
   void handle_complete() override;
 
   Request current_;
@@ -133,7 +154,7 @@ class ResponseParser final : public MessageParser {
   bool handle_start_line(std::string_view line) override;
   void handle_header(std::string name, std::string value) override;
   Framing decide_framing() override;
-  void handle_body(std::string_view bytes) override;
+  std::string& body() override { return current_.body; }
   void handle_complete() override;
 
   Response current_;

@@ -135,8 +135,7 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
       bad.status = 400;
       bad.reason = "Bad Request";
       bad.headers.add("Connection", "close");
-      http::finalize_content_length(bad);
-      connection->send(http::to_bytes(bad));
+      connection->send(http::to_framed_bytes(bad));
       connection->close();
     }
     return;
@@ -155,13 +154,8 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
       continue;
     }
     const bool keep_alive = request.keep_alive();
-    http::Response response = handler_(request);
-    http::finalize_content_length(response);
+    std::string wire = handler_(request);
     ++requests_served_;
-    if (observer_) {
-      observer_(request, response);
-    }
-    std::string wire = http::to_bytes(response);
     const Microseconds delay = processing_delay_ + fault.extra_delay;
     if (fault.kind == ServerFault::Kind::kCrash) {
       // Crash mid-response: emit a prefix of the wire bytes, then RST.
@@ -172,9 +166,9 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
           static_cast<double>(wire.size()) * fraction);
       wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
       const std::weak_ptr<TcpConnection> weak = session->connection;
-      auto crash = [this, weak, session, wire = std::move(wire)] {
+      auto crash = [this, weak, session, wire = std::move(wire)]() mutable {
         if (const auto conn = weak.lock()) {
-          conn->send(wire);
+          conn->send(std::move(wire));
           conn->abort();
         }
         release_worker(session);
@@ -191,9 +185,9 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
       // across requests.
       const std::weak_ptr<TcpConnection> weak = session->connection;
       fabric_.loop().schedule_in(
-          delay, [weak, wire = std::move(wire), keep_alive] {
+          delay, [weak, wire = std::move(wire), keep_alive]() mutable {
             if (const auto conn = weak.lock()) {
-              conn->send(wire);
+              conn->send(std::move(wire));
               if (!keep_alive) {
                 conn->close();
               }
@@ -303,12 +297,11 @@ void HttpClientConnection::maybe_send_next() {
   }
   PendingRequest next = std::move(queue_.front());
   queue_.pop_front();
-  http::finalize_content_length(next.request);
   parser_.notify_request(next.request.method);
   in_flight_callbacks_.push_back(std::move(next.callback));
   current_hooks_ = std::move(next.hooks);
   outstanding_ = 1;
-  client_.connection().send(http::to_bytes(next.request));
+  client_.connection().send(http::to_framed_bytes(next.request));
   if (current_hooks_.on_sent) {
     current_hooks_.on_sent();
   }

@@ -35,13 +35,11 @@ struct WorkerPool {
 /// connection concurrency is governed by the WorkerPool.
 class HttpServer {
  public:
-  /// Maps a request to its response. Runs once per complete request.
-  using Handler = std::function<http::Response(const http::Request&)>;
-
-  /// Called for every request after the response is computed — the hook
-  /// RecordShell's proxy uses to store request/response pairs.
-  using Observer =
-      std::function<void(const http::Request&, const http::Response&)>;
+  /// Maps a request to its framed response wire bytes — typically
+  /// `http::to_framed_bytes(response)`, which serializes the response
+  /// once, straight into the buffer the connection then sends from. Runs
+  /// once per complete request. MuxServer uses the same contract.
+  using Handler = std::function<std::string(const http::Request&)>;
 
   /// `config` applies to every accepted connection — notably the
   /// congestion controller serving this origin's responses.
@@ -51,8 +49,6 @@ class HttpServer {
 
   /// Install prefork-style concurrency limits. Call before traffic arrives.
   void set_worker_pool(const WorkerPool& pool);
-
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
 
   [[nodiscard]] Address address() const { return listener_.local_address(); }
   [[nodiscard]] std::uint64_t requests_served() const { return requests_served_; }
@@ -90,7 +86,6 @@ class HttpServer {
 
   Fabric& fabric_;
   Handler handler_;
-  Observer observer_;
   Microseconds processing_delay_;
   WorkerPool pool_;
   int workers_spawned_{0};   // current pool size

@@ -53,6 +53,18 @@ void FrameParser::push(std::string_view bytes) {
   if (failed_) {
     return;
   }
+  // Compact lazily, and only with no frame pending (their views point
+  // into the buffer): drop the decoded prefix when it dominates, so
+  // steady-state parsing does no per-frame memmove.
+  if (frames_.empty()) {
+    if (consumed_ == buffer_.size()) {
+      buffer_.clear();
+      consumed_ = 0;
+    } else if (consumed_ > buffer_.size() / 2 && consumed_ > 4096) {
+      buffer_.erase(0, consumed_);
+      consumed_ = 0;
+    }
+  }
   buffer_.append(bytes);
   while (buffer_.size() - consumed_ >= kFrameHeaderBytes) {
     const char* head = buffer_.data() + consumed_;
@@ -71,29 +83,21 @@ void FrameParser::push(std::string_view bytes) {
     if (buffer_.size() - consumed_ < kFrameHeaderBytes + length) {
       break;  // wait for the rest
     }
-    Frame frame;
-    frame.stream_id = stream_id;
-    frame.type = type;
-    frame.payload = buffer_.substr(consumed_ + kFrameHeaderBytes, length);
+    frames_.push_back(
+        Decoded{stream_id, type, consumed_ + kFrameHeaderBytes, length});
     consumed_ += kFrameHeaderBytes + length;
-    frames_.push_back(std::move(frame));
-  }
-  // Compact lazily: drop the parsed prefix only when it dominates the
-  // buffer, so steady-state parsing does no per-frame memmove.
-  if (consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > buffer_.size() / 2 && consumed_ > 4096) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
   }
 }
 
-Frame FrameParser::pop() {
-  MAHI_ASSERT(!frames_.empty());
-  Frame frame = std::move(frames_.front());
+std::optional<FrameView> FrameParser::next() {
+  if (frames_.empty()) {
+    return std::nullopt;
+  }
+  const Decoded frame = frames_.front();
   frames_.pop_front();
-  return frame;
+  return FrameView{
+      frame.stream_id, frame.type,
+      std::string_view{buffer_}.substr(frame.offset, frame.length)};
 }
 
 // --- MuxServer ------------------------------------------------------------------
@@ -141,15 +145,14 @@ void MuxServer::on_data(const std::shared_ptr<Session>& session,
     }
     return;
   }
-  while (session->parser.has_frame()) {
-    const Frame frame = session->parser.pop();
-    if (frame.type != Frame::Type::kRequest) {
+  while (const auto frame = session->parser.next()) {
+    if (frame->type != Frame::Type::kRequest) {
       continue;  // clients only send requests
     }
     http::RequestParser request_parser;
-    request_parser.push(frame.payload);
+    request_parser.push(frame->payload);
     if (request_parser.failed() || !request_parser.has_message()) {
-      MAHI_WARN("mux-server") << "bad request in stream " << frame.stream_id;
+      MAHI_WARN("mux-server") << "bad request in stream " << frame->stream_id;
       continue;
     }
     ServerFault fault;
@@ -162,24 +165,23 @@ void MuxServer::on_data(const std::shared_ptr<Session>& session,
       ++faults_injected_;
       continue;
     }
-    http::Response response = handler_(request_parser.pop());
-    http::finalize_content_length(response);
+    std::string wire = handler_(request_parser.pop());
     ++requests_served_;
     const Microseconds delay = processing_delay_ + fault.extra_delay;
     if (fault.kind == ServerFault::Kind::kCrash) {
       // Crash mid-response: one partial data frame, then RST. Every other
       // stream on the connection dies with it — shared-fate, as real.
       ++faults_injected_;
-      std::string wire = http::to_bytes(response);
       const double fraction = std::clamp(fault.fraction, 0.0, 1.0);
       const auto cut = static_cast<std::size_t>(
           static_cast<double>(wire.size()) * fraction);
       wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
-      auto crash = [session, id = frame.stream_id, wire = std::move(wire)] {
+      auto crash = [session, id = frame->stream_id,
+                    wire = std::move(wire)]() mutable {
         if (const auto conn = session->connection.lock()) {
           conn->send(encode_frame_header(
               id, Frame::Type::kData, static_cast<std::uint32_t>(wire.size())));
-          conn->send(wire);
+          conn->send(std::move(wire));
           conn->abort();
         }
       };
@@ -192,21 +194,20 @@ void MuxServer::on_data(const std::shared_ptr<Session>& session,
     }
     if (delay > 0) {
       fabric_.loop().schedule_in(
-          delay, [this, session, id = frame.stream_id,
-                  r = std::move(response)]() mutable {
-            start_response(session, id, std::move(r));
+          delay, [this, session, id = frame->stream_id,
+                  wire = std::move(wire)]() mutable {
+            start_response(session, id, std::move(wire));
           });
     } else {
-      start_response(session, frame.stream_id, std::move(response));
+      start_response(session, frame->stream_id, std::move(wire));
     }
   }
 }
 
 void MuxServer::start_response(const std::shared_ptr<Session>& session,
-                               std::uint32_t stream_id,
-                               http::Response response) {
+                               std::uint32_t stream_id, std::string wire) {
   // One shared buffer per response; every data frame below aliases it.
-  session->pending_streams[stream_id] = Payload{http::to_bytes(response)};
+  session->pending_streams[stream_id] = Payload{std::move(wire)};
   session->next_stream = session->pending_streams.begin();
   pump_writer(session);
 }
@@ -307,11 +308,10 @@ void MuxClientConnection::fetch(http::Request request,
   stream.hooks = std::move(hooks);
   stream.parser.notify_request(request.method);
 
-  http::finalize_content_length(request);
   Frame frame;
   frame.stream_id = id;
   frame.type = Frame::Type::kRequest;
-  frame.payload = http::to_bytes(request);
+  frame.payload = http::to_framed_bytes(request);
   std::string wire = encode_frame(frame);
   // "Sent" = handed to the transport (or its pre-connect queue), matching
   // the HTTP/1.1 client's notion of the request leaving the application.
@@ -333,26 +333,27 @@ void MuxClientConnection::on_data(std::string_view bytes) {
     fail("mux frame parse failure");
     return;
   }
-  while (parser_.has_frame()) {
-    const Frame frame = parser_.pop();
-    const auto it = streams_.find(frame.stream_id);
+  while (const auto frame = parser_.next()) {
+    const auto it = streams_.find(frame->stream_id);
     if (it == streams_.end()) {
       continue;  // stale frame for a cancelled stream
     }
     Stream& stream = it->second;
-    if (frame.type == Frame::Type::kData) {
-      if (!frame.payload.empty() && stream.hooks.on_first_byte) {
+    if (frame->type == Frame::Type::kData) {
+      if (!frame->payload.empty() && stream.hooks.on_first_byte) {
         auto first_byte = std::move(stream.hooks.on_first_byte);
         stream.hooks.on_first_byte = nullptr;
         first_byte();
       }
-      stream.parser.push(frame.payload);
+      // The frame's bytes go straight from the frame buffer into the
+      // stream's response body.
+      stream.parser.push(frame->payload);
       if (stream.parser.failed()) {
         fail("response parse failure on stream " +
-             std::to_string(frame.stream_id));
+             std::to_string(frame->stream_id));
         return;
       }
-    } else if (frame.type == Frame::Type::kEnd) {
+    } else if (frame->type == Frame::Type::kEnd) {
       stream.parser.on_close();
       if (!stream.parser.has_message()) {
         fail("stream ended without a complete response");

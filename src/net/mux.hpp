@@ -3,10 +3,12 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "http/parser.hpp"
 #include "net/fault_hooks.hpp"
 #include "net/fetch_hooks.hpp"
+#include "net/http_session.hpp"
 #include "net/tcp.hpp"
 
 namespace mahimahi::net::mux {
@@ -39,31 +41,48 @@ std::string encode_frame(const Frame& frame);
 std::string encode_frame_header(std::uint32_t stream_id, Frame::Type type,
                                 std::uint32_t payload_length);
 
-/// Incremental frame decoder (arbitrary fragmentation). Parsed bytes are
-/// consumed by advancing an offset; the buffer compacts lazily instead of
-/// memmoving its tail after every frame.
+/// One decoded frame. The payload views the parser's buffer and stays
+/// valid until the parser's next push().
+struct FrameView {
+  std::uint32_t stream_id{0};
+  Frame::Type type{Frame::Type::kData};
+  std::string_view payload;
+};
+
+/// Incremental frame decoder (arbitrary fragmentation). Frames are decoded
+/// in place: push() records where each complete frame lies in the buffer
+/// and next() hands it out as a view, so payload bytes are not copied per
+/// frame. The decoded prefix is dropped lazily, on a push() with no frame
+/// pending, instead of memmoving the tail after every frame.
 class FrameParser {
  public:
   void push(std::string_view bytes);
-  [[nodiscard]] bool has_frame() const { return !frames_.empty(); }
-  Frame pop();
+  /// The next complete frame, or nullopt when none is pending.
+  std::optional<FrameView> next();
   [[nodiscard]] bool failed() const { return failed_; }
 
   /// Frames above this payload size indicate a corrupt stream.
   static constexpr std::uint32_t kMaxPayload = 8u << 20;
 
  private:
+  struct Decoded {
+    std::uint32_t stream_id;
+    Frame::Type type;
+    std::size_t offset;  // payload position in buffer_
+    std::uint32_t length;
+  };
+
   std::string buffer_;
-  std::size_t consumed_{0};  // parsed prefix of buffer_ awaiting compaction
-  std::deque<Frame> frames_;
+  std::size_t consumed_{0};  // decoded prefix of buffer_ awaiting compaction
+  std::deque<Decoded> frames_;
   bool failed_{false};
 };
 
 /// Server side: binds an origin address and answers mux-framed HTTP
-/// requests with the same Handler signature HttpServer uses.
+/// requests under HttpServer's handler contract (framed wire bytes).
 class MuxServer {
  public:
-  using Handler = std::function<http::Response(const http::Request&)>;
+  using Handler = HttpServer::Handler;
 
   static constexpr std::size_t kDefaultChunkBytes = 16 * 1024;
 
@@ -101,7 +120,7 @@ class MuxServer {
       const std::shared_ptr<TcpConnection>& connection);
   void on_data(const std::shared_ptr<Session>& session, std::string_view bytes);
   void start_response(const std::shared_ptr<Session>& session,
-                      std::uint32_t stream_id, http::Response response);
+                      std::uint32_t stream_id, std::string wire);
   void pump_writer(const std::shared_ptr<Session>& session);
 
   Fabric& fabric_;

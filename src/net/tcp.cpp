@@ -542,20 +542,29 @@ void TcpConnection::handle_payload(const Packet& packet) {
   if (!seg.payload.empty()) {
     const std::uint64_t seg_end = seg.seq + seg.payload.size();
     if (seg_end > rcv_nxt_) {
-      // Keep only the part at/after rcv_nxt_ if the segment overlaps
-      // already-received data. Stored as payload views — reassembly holds
-      // references into the sender's buffers, never copies.
-      std::uint64_t start = seg.seq;
-      Payload payload = seg.payload;
-      if (start < rcv_nxt_) {
-        payload = payload.without_prefix(static_cast<std::size_t>(rcv_nxt_ - start));
-        start = rcv_nxt_;
+      if (seg.seq <= rcv_nxt_ && out_of_order_.empty() && !delivering_) {
+        // In order with nothing queued behind it: the fresh bytes go
+        // straight to on_data, with no reassembly node. The packet keeps
+        // them alive for the call.
+        deliver_in_order(seg.payload.view().substr(
+            static_cast<std::size_t>(rcv_nxt_ - seg.seq)));
+      } else {
+        // Keep only the part at/after rcv_nxt_ if the segment overlaps
+        // already-received data. Stored as payload views — reassembly
+        // holds references into the sender's buffers, never copies.
+        std::uint64_t start = seg.seq;
+        Payload payload = seg.payload;
+        if (start < rcv_nxt_) {
+          payload = payload.without_prefix(
+              static_cast<std::size_t>(rcv_nxt_ - start));
+          start = rcv_nxt_;
+        }
+        const auto [it, inserted] = out_of_order_.try_emplace(start, payload);
+        if (!inserted && it->second.size() < payload.size()) {
+          it->second = std::move(payload);
+        }
+        deliver_in_order();
       }
-      const auto [it, inserted] = out_of_order_.try_emplace(start, payload);
-      if (!inserted && it->second.size() < payload.size()) {
-        it->second = std::move(payload);
-      }
-      deliver_in_order();
     }
   }
   if (seg.fin) {
@@ -568,7 +577,7 @@ void TcpConnection::handle_payload(const Packet& packet) {
   maybe_finish_close();
 }
 
-void TcpConnection::deliver_in_order() {
+void TcpConnection::deliver_in_order(std::string_view head) {
   // The on_data callback may synchronously trigger more packets (zero-
   // latency chains) and re-enter this function; the guard makes the outer
   // frame the only one that drains, which is safe because the loop
@@ -577,6 +586,17 @@ void TcpConnection::deliver_in_order() {
     return;
   }
   delivering_ = true;
+  if (!head.empty()) {
+    bytes_received_app_ += head.size();
+    rcv_nxt_ += head.size();
+    if (callbacks_.on_data) {
+      callbacks_.on_data(head);
+      if (state_ == State::kClosed) {
+        delivering_ = false;
+        return;  // callback closed the connection
+      }
+    }
+  }
   while (true) {
     const auto it = out_of_order_.begin();
     if (it == out_of_order_.end() || it->first > rcv_nxt_) {

@@ -239,7 +239,9 @@ class TcpConnection {
   void send_data_segment(std::uint64_t seq, std::size_t length, bool retransmit);
   void handle_ack(const TcpSegment& seg);
   void handle_payload(const Packet& packet);
-  void deliver_in_order();
+  /// Deliver `head` (the bytes at rcv_nxt_, if any) and then every
+  /// reassembled segment that has become contiguous.
+  void deliver_in_order(std::string_view head = {});
   void enter_recovery();
   void on_rto_expired();
   void arm_retransmit_timer();

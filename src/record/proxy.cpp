@@ -117,9 +117,7 @@ void RecordingProxy::flush_ready_responses(
     if (!connection) {
       continue;  // application went away; recording already happened
     }
-    http::Response response = std::move(*slot.response);
-    http::finalize_content_length(response);
-    connection->send(http::to_bytes(response));
+    connection->send(http::to_framed_bytes(*slot.response));
     if (slot.close_after) {
       connection->close();
     }

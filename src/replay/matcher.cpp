@@ -61,11 +61,11 @@ const record::RecordedExchange* Matcher::find(const http::Request& request) cons
   return best;
 }
 
-http::Response Matcher::respond(const http::Request& request) const {
+std::string Matcher::respond(const http::Request& request) const {
   if (const auto* exchange = find(request)) {
-    return exchange->response;
+    return http::to_framed_bytes(exchange->response);
   }
-  return http::make_not_found(request.target);
+  return http::to_framed_bytes(http::make_not_found(request.target));
 }
 
 }  // namespace mahimahi::replay

@@ -28,8 +28,9 @@ class Matcher {
   [[nodiscard]] const record::RecordedExchange* find(
       const http::Request& request) const;
 
-  /// find() + materialize the response (recorded one, or 404).
-  [[nodiscard]] http::Response respond(const http::Request& request) const;
+  /// find() + the framed wire bytes of the recorded response (or a 404),
+  /// serialized straight from the store — the origin servers' handler.
+  [[nodiscard]] std::string respond(const http::Request& request) const;
 
   [[nodiscard]] std::size_t indexed_exchanges() const { return indexed_; }
 

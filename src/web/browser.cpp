@@ -502,7 +502,8 @@ void Browser::on_response(const http::Url& url, http::Response response) {
   } else {
     done = loop_.now() + cost;
   }
-  loop_.schedule_at(done, [this, url, kind, body = std::move(response.body)]() {
+  loop_.schedule_at(done, [this, url, kind,
+                           body = std::move(response.body)]() mutable {
     on_object_computed(url, kind, std::move(body));
   });
 }

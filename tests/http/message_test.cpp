@@ -2,8 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace mahimahi::http {
 namespace {
+
+// A plain stream serializer: the reference the exact-size writer's framed
+// and unframed outputs must match byte for byte.
+std::string reference_bytes(const Response& response) {
+  std::ostringstream out;
+  out << response.version << ' ' << response.status << ' ' << response.reason
+      << "\r\n";
+  for (const auto& field : response.headers) {
+    out << field.name << ": " << field.value << "\r\n";
+  }
+  out << "\r\n" << response.body;
+  return out.str();
+}
+
+std::string reference_bytes(const Request& request) {
+  std::ostringstream out;
+  out << method_name(request.method) << ' ' << request.target << ' '
+      << request.version << "\r\n";
+  for (const auto& field : request.headers) {
+    out << field.name << ": " << field.value << "\r\n";
+  }
+  out << "\r\n" << request.body;
+  return out.str();
+}
+
+/// to_bytes matches the reference as stored, to_framed_bytes matches the
+/// reference after finalize_content_length, and both equal `golden`.
+template <typename Message>
+void expect_framed(const Message& message, std::string_view golden) {
+  Message finalized = message;
+  finalize_content_length(finalized);
+  EXPECT_EQ(to_bytes(message), reference_bytes(message));
+  EXPECT_EQ(to_framed_bytes(message), reference_bytes(finalized));
+  EXPECT_EQ(to_framed_bytes(message), golden);
+  EXPECT_EQ(to_bytes(finalized), golden);
+}
 
 TEST(Request, HostStripsPortAndLowercases) {
   Request r;
@@ -93,6 +131,108 @@ TEST(FinalizeContentLength, OverwritesStaleValue) {
   resp.body = "abc";
   finalize_content_length(resp);
   EXPECT_EQ(resp.headers.get("Content-Length"), "3");
+}
+
+TEST(FramedBytes, ReplacesExistingContentLengthInPlace) {
+  Response resp;
+  resp.headers.add("content-length", "999");
+  resp.headers.add("Server", "s");
+  resp.body = "abc";
+  expect_framed(resp,
+                "HTTP/1.1 200 OK\r\n"
+                "content-length: 3\r\n"
+                "Server: s\r\n"
+                "\r\n"
+                "abc");
+}
+
+TEST(FramedBytes, CollapsesDuplicateContentLength) {
+  Response resp;
+  resp.headers.add("Content-Length", "1");
+  resp.headers.add("X-A", "a");
+  resp.headers.add("CONTENT-LENGTH", "2");
+  resp.body = "hello";
+  expect_framed(resp,
+                "HTTP/1.1 200 OK\r\n"
+                "Content-Length: 5\r\n"
+                "X-A: a\r\n"
+                "\r\n"
+                "hello");
+}
+
+TEST(FramedBytes, AppendsContentLengthWhenAbsentEvenForEmptyBody) {
+  Response resp;
+  resp.status = 404;
+  resp.reason = "Not Found";
+  resp.headers.add("Content-Type", "text/plain");
+  expect_framed(resp,
+                "HTTP/1.1 404 Not Found\r\n"
+                "Content-Type: text/plain\r\n"
+                "Content-Length: 0\r\n"
+                "\r\n");
+}
+
+TEST(FramedBytes, LeavesChunkedUntouched) {
+  Response resp;
+  resp.headers.add("Transfer-Encoding", "chunked");
+  resp.headers.add("Content-Length", "7");  // stale, and kept as stored
+  resp.body = "3\r\nabc\r\n0\r\n\r\n";
+  expect_framed(resp,
+                "HTTP/1.1 200 OK\r\n"
+                "Transfer-Encoding: chunked\r\n"
+                "Content-Length: 7\r\n"
+                "\r\n"
+                "3\r\nabc\r\n0\r\n\r\n");
+}
+
+TEST(FramedBytes, BodilessStatusesGetNoLength) {
+  Response no_content;
+  no_content.status = 204;
+  no_content.reason = "No Content";
+  expect_framed(no_content, "HTTP/1.1 204 No Content\r\n\r\n");
+
+  Response not_modified;
+  not_modified.status = 304;
+  not_modified.reason = "Not Modified";
+  not_modified.headers.add("ETag", "\"v1\"");
+  expect_framed(not_modified,
+                "HTTP/1.1 304 Not Modified\r\n"
+                "ETag: \"v1\"\r\n"
+                "\r\n");
+
+  Response interim;
+  interim.status = 100;
+  interim.reason = "Continue";
+  expect_framed(interim, "HTTP/1.1 100 Continue\r\n\r\n");
+}
+
+TEST(FramedBytes, NotFoundFactory) {
+  expect_framed(make_not_found("/gone?q=1"),
+                "HTTP/1.1 404 Not Found\r\n"
+                "Content-Type: text/plain\r\n"
+                "Content-Length: 34\r\n"
+                "\r\n"
+                "no recorded response for /gone?q=1");
+}
+
+TEST(FramedBytes, RequestWithBodyGetsLengthAndBodilessOneDoesNot) {
+  Request post;
+  post.method = Method::kPost;
+  post.target = "/submit";
+  post.headers.add("Host", "h.test");
+  post.body = "k=v&x=1";
+  expect_framed(post,
+                "POST /submit HTTP/1.1\r\n"
+                "Host: h.test\r\n"
+                "Content-Length: 7\r\n"
+                "\r\n"
+                "k=v&x=1");
+
+  const Request get = make_get("http://h.test/p");
+  expect_framed(get,
+                "GET /p HTTP/1.1\r\n"
+                "Host: h.test\r\n"
+                "\r\n");
 }
 
 TEST(MakeGet, BuildsHostHeaderWithPort) {

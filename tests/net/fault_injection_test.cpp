@@ -191,8 +191,8 @@ TEST(DnsFaults, DropBeyondRetryBudgetFailsTheLookup) {
 
 // --- Origin faults (HTTP/1.1) -----------------------------------------------
 
-http::Response ok_handler(const http::Request&) {
-  return http::make_ok(std::string(20'000, 'b'));
+std::string ok_handler(const http::Request&) {
+  return http::to_framed_bytes(http::make_ok(std::string(20'000, 'b')));
 }
 
 TEST(OriginFaults, CrashSendsPartialResponseThenReset) {

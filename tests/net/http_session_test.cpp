@@ -13,13 +13,13 @@ using namespace mahimahi::literals;
 
 const Address kServerAddr{Ipv4{10, 0, 0, 1}, 80};
 
-http::Response echo_handler(const http::Request& request) {
+std::string echo_handler(const http::Request& request) {
   http::Response response;
   response.status = 200;
   response.reason = "OK";
   response.headers.add("Content-Type", "text/plain");
   response.body = "echo:" + request.target;
-  return response;
+  return http::to_framed_bytes(response);
 }
 
 TEST(HttpSession, SimpleFetch) {
@@ -91,7 +91,9 @@ TEST(HttpSession, LargeResponseOverSlowLink) {
   net.add_link(trace::constant_rate(10e6, 1_s), trace::constant_rate(1e6, 2_s));
   const std::string big(250'000, 'B');  // 2 Mbit
   HttpServer server{net.fabric, kServerAddr,
-                    [&](const http::Request&) { return http::make_ok(big); }};
+                    [&](const http::Request&) {
+                      return http::to_framed_bytes(http::make_ok(big));
+                    }};
   HttpClientConnection client{net.fabric, kServerAddr};
   std::optional<http::Response> got;
   Microseconds done_at = 0;
@@ -111,7 +113,7 @@ TEST(HttpSession, ConnectionCloseResponseEndsConnection) {
   HttpServer server{net.fabric, kServerAddr, [](const http::Request&) {
                       http::Response r = http::make_ok("done");
                       r.headers.add("Connection", "close");
-                      return r;
+                      return http::to_framed_bytes(r);
                     }};
   HttpClientConnection client{net.fabric, kServerAddr};
   std::optional<http::Response> got;
@@ -127,7 +129,7 @@ TEST(HttpSession, ErrorCallbackOnQueuedRequestsWhenServerCloses) {
   HttpServer server{net.fabric, kServerAddr, [](const http::Request&) {
                       http::Response r = http::make_ok("one");
                       r.headers.add("Connection", "close");
-                      return r;
+                      return http::to_framed_bytes(r);
                     }};
   std::string error;
   HttpClientConnection client{net.fabric, kServerAddr,
@@ -161,7 +163,7 @@ TEST(HttpSession, PostBodyReachesHandler) {
   std::string seen_body;
   HttpServer server{net.fabric, kServerAddr, [&](const http::Request& r) {
                       seen_body = r.body;
-                      return http::make_ok("ok");
+                      return http::to_framed_bytes(http::make_ok("ok"));
                     }};
   HttpClientConnection client{net.fabric, kServerAddr};
   http::Request post;

@@ -159,7 +159,8 @@ TEST(TcpDynamics, WarmConnectionSkipsSlowStartOnSecondTransfer) {
   SimNet net;
   net.add_delay(40_ms);
   HttpServer server{net.fabric, kServerAddr, [](const http::Request&) {
-                      return http::make_ok(std::string(40 * kMss, 'r'));
+                      return http::to_framed_bytes(
+                          http::make_ok(std::string(40 * kMss, 'r')));
                     }};
   HttpClientConnection client{net.fabric, kServerAddr};
 

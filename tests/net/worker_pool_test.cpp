@@ -15,8 +15,8 @@ using namespace mahimahi::literals;
 
 const Address kServerAddr{Ipv4{10, 0, 0, 1}, 80};
 
-http::Response tiny_handler(const http::Request&) {
-  return http::make_ok("ok", "text/plain");
+std::string tiny_handler(const http::Request&) {
+  return http::to_framed_bytes(http::make_ok("ok", "text/plain"));
 }
 
 struct PoolHarness {
@@ -91,7 +91,7 @@ TEST(WorkerPool, ClosedConnectionReleasesWorkerImmediately) {
   HttpServer server{net.fabric, kServerAddr, [](const http::Request&) {
                       http::Response r = http::make_ok("bye");
                       r.headers.add("Connection", "close");
-                      return r;
+                      return http::to_framed_bytes(r);
                     }};
   server.set_worker_pool(WorkerPool{.initial_workers = 1,
                                     .max_workers = 1,  // no spawning at all

@@ -30,7 +30,8 @@ struct ProxyHarness {
   void add_origin(const net::Address& address, std::string label) {
     origins.push_back(std::make_unique<net::HttpServer>(
         outer, address, [label = std::move(label)](const http::Request& r) {
-          return http::make_ok("from " + label + " for " + r.target);
+          return http::to_framed_bytes(
+              http::make_ok("from " + label + " for " + r.target));
         }));
   }
 };

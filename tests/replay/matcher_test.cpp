@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "http/parser.hpp"
+
 namespace mahimahi::replay {
 namespace {
 
@@ -13,6 +15,14 @@ record::RecordedExchange make_exchange(std::string_view url, std::string body,
   exchange.response = http::make_ok(std::move(body));
   exchange.server_address = net::Address{net::Ipv4{10, 0, 0, 1}, 80};
   return exchange;
+}
+
+/// The matcher's framed wire bytes, parsed back into a response.
+http::Response respond(const Matcher& matcher, const http::Request& request) {
+  http::ResponseParser parser;
+  parser.push(matcher.respond(request));
+  EXPECT_TRUE(parser.has_message());
+  return parser.has_message() ? parser.pop() : http::Response{};
 }
 
 record::RecordStore site_store() {
@@ -31,7 +41,7 @@ TEST(Matcher, ExactMatchWins) {
   const auto store = site_store();
   const Matcher matcher{store};
   const auto response =
-      matcher.respond(http::make_get("http://www.site.test/page?a=1&c=3"));
+      respond(matcher, http::make_get("http://www.site.test/page?a=1&c=3"));
   EXPECT_EQ(response.body, "ac");
 }
 
@@ -41,7 +51,7 @@ TEST(Matcher, LongestQueryPrefixWhenNoExact) {
   // "a=1&b=9" shares "a=1&b=" (6 chars) with the b=2 recording but only
   // "a=1&" (4) with the c=3 one.
   const auto response =
-      matcher.respond(http::make_get("http://www.site.test/page?a=1&b=9"));
+      respond(matcher, http::make_get("http://www.site.test/page?a=1&b=9"));
   EXPECT_EQ(response.body, "ab");
 }
 
@@ -63,7 +73,7 @@ TEST(Matcher, NoMatchYields404) {
   const auto store = site_store();
   const Matcher matcher{store};
   const auto response =
-      matcher.respond(http::make_get("http://www.site.test/missing"));
+      respond(matcher, http::make_get("http://www.site.test/missing"));
   EXPECT_EQ(response.status, 404);
 }
 
@@ -72,8 +82,8 @@ TEST(Matcher, MethodBreaksTies) {
   const Matcher matcher{store};
   http::Request post = http::make_get("http://www.site.test/api");
   post.method = http::Method::kPost;
-  EXPECT_EQ(matcher.respond(post).body, "post-api");
-  EXPECT_EQ(matcher.respond(http::make_get("http://www.site.test/api")).body,
+  EXPECT_EQ(respond(matcher, post).body, "post-api");
+  EXPECT_EQ(respond(matcher, http::make_get("http://www.site.test/api")).body,
             "get-api");
 }
 
@@ -82,7 +92,7 @@ TEST(Matcher, QuerylessRequestPrefersQuerylessRecording) {
   store.add(make_exchange("http://h.test/p?long=query", "with-query"));
   store.add(make_exchange("http://h.test/p", "bare"));
   const Matcher matcher{store};
-  EXPECT_EQ(matcher.respond(http::make_get("http://h.test/p")).body, "bare");
+  EXPECT_EQ(respond(matcher, http::make_get("http://h.test/p")).body, "bare");
 }
 
 TEST(Matcher, DeterministicOnExactTies) {
@@ -92,7 +102,7 @@ TEST(Matcher, DeterministicOnExactTies) {
   const Matcher matcher{store};
   // Earliest recording wins, every time.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(matcher.respond(http::make_get("http://h.test/p?x=1")).body,
+    EXPECT_EQ(respond(matcher, http::make_get("http://h.test/p?x=1")).body,
               "first");
   }
 }
@@ -101,7 +111,7 @@ TEST(Matcher, EmptyStoreAlways404) {
   const record::RecordStore store;
   const Matcher matcher{store};
   EXPECT_EQ(matcher.indexed_exchanges(), 0u);
-  EXPECT_EQ(matcher.respond(http::make_get("http://h.test/")).status, 404);
+  EXPECT_EQ(respond(matcher, http::make_get("http://h.test/")).status, 404);
 }
 
 TEST(CommonQueryPrefix, Basics) {

@@ -183,7 +183,7 @@ TEST(OriginServerSet, RecordThenReplayRoundTrip) {
                              http::Response resp =
                                  http::make_ok("live body for " + r.target);
                              resp.headers.add("X-Origin", "the-real-one");
-                             return resp;
+                             return http::to_framed_bytes(resp);
                            }};
     net::HttpClientConnection app{inner, kA};
     app.fetch(http::make_get("http://www.site.test/page?v=7"),
