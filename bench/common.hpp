@@ -1,8 +1,7 @@
 #pragma once
 
-// Shared scaffolding for the paper-reproduction bench binaries.
+// Shared scaffolding for the bench binaries.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,7 +10,6 @@
 
 #include "core/parallel_runner.hpp"
 #include "core/sessions.hpp"
-#include "corpus/alexa.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/statistics.hpp"
@@ -48,58 +46,6 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// One recorded corpus site ready for replay.
-struct CorpusEntry {
-  corpus::GeneratedSite site;
-  record::RecordStore store;
-};
-
-/// Generate and record `count` Alexa-calibrated sites (the recording runs
-/// the real RecordShell pipeline per site). Deterministic given `seed`:
-/// the specs are drawn sequentially from one stream, then each site's
-/// expensive generate+record runs as an independent task — its seed is
-/// fixed before dispatch, so the corpus is identical at any thread count.
-inline std::vector<CorpusEntry> build_recorded_corpus(int count,
-                                                      std::uint64_t seed) {
-  util::Rng rng{seed};
-  util::Rng spec_rng = rng.fork("specs");
-  const auto server_counts = corpus::alexa_server_counts(spec_rng, count);
-  std::vector<corpus::SiteSpec> specs;
-  specs.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    specs.push_back(corpus::alexa_site_spec(
-        i, server_counts[static_cast<std::size_t>(i)], spec_rng));
-  }
-
-  std::atomic<int> recorded{0};
-  return shared_runner().map(count, [&](int i) {
-    CorpusEntry entry{corpus::generate_site(specs[static_cast<std::size_t>(i)]),
-                      record::RecordStore{}};
-    core::SessionConfig config;
-    config.seed = seed + static_cast<std::uint64_t>(i) * 101;
-    core::RecordSession session{entry.site, corpus::LiveWebConfig{}, config};
-    entry.store = session.record();
-    const int done = recorded.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (done % 50 == 0) {
-      std::fprintf(stderr, "  [corpus] recorded %d/%d sites\n", done, count);
-    }
-    return entry;
-  });
-}
-
-/// Print a CDF as (value, cumulative fraction) rows at the given
-/// percentile grid — the series behind the paper's CDF figures.
-inline void print_cdf(const char* label, const util::Samples& samples) {
-  std::printf("# CDF %s (n=%zu)\n", label, samples.size());
-  for (const double p : {5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0}) {
-    std::printf("%-28s p%-4.0f %10.1f ms\n", label, p, samples.percentile(p));
-  }
-}
-
-inline void print_rule() {
-  std::printf("-------------------------------------------------------------------\n");
-}
 
 /// Machine-readable perf log: one row per benchmark (name → ns/op plus
 /// throughput counters), serialized as JSON so the repo's perf trajectory

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "experiment/runner.hpp"
 #include "corpus/site_generator.hpp"
 #include "fault/fault.hpp"
 #include "web/browser.hpp"
@@ -39,14 +40,15 @@ namespace {
 
 /// A small multi-origin page: enough objects that a per-request crash
 /// coin at p=0.15 fires several times per scenario.
-CorpusEntry recorded_page() {
+experiment::RecordedSite recorded_page() {
   corpus::SiteSpec spec;
   spec.name = "fault-page";
   spec.seed = 17;
   spec.server_count = 3;
   spec.object_count = 10;
   spec.size_scale = 0.25;
-  CorpusEntry entry{corpus::generate_site(spec), record::RecordStore{}};
+  experiment::RecordedSite entry{corpus::generate_site(spec),
+                                 record::RecordStore{}};
   core::SessionConfig config;
   config.seed = 23;
   core::RecordSession session{entry.site, corpus::LiveWebConfig{}, config};
@@ -66,8 +68,9 @@ struct ScenarioResult {
   bool clean_loads_undegraded{true};
 };
 
-ScenarioResult run_scenario(const CorpusEntry& page, const std::string& spec,
-                            int loads, core::ParallelRunner& pool) {
+ScenarioResult run_scenario(const experiment::RecordedSite& page,
+                            const std::string& spec, int loads,
+                            core::ParallelRunner& pool) {
   core::SessionConfig config;
   config.seed = 97;
   config.shells = {core::DelayShellSpec{10'000}};
@@ -140,7 +143,7 @@ int main(int argc, char** argv) {
       std::string{kCrash} + " retry:deadline=4s,max=3,base=200ms,cap=2s";
 
   std::printf("=== fault resilience: %d loads per scenario ===\n", loads);
-  const CorpusEntry page = recorded_page();
+  const experiment::RecordedSite page = recorded_page();
   core::ParallelRunner& pool = shared_runner();
 
   const ScenarioResult healthy = run_scenario(page, "", loads, pool);
@@ -219,7 +222,8 @@ int main(int argc, char** argv) {
     // The defended (most machinery engaged: crashes, retries, backoff
     // timers, deadlines) scenario re-run on a different-size pool must
     // reproduce the per-load report byte for byte.
-    print_rule();
+    std::puts(
+        "-------------------------------------------------------------------");
     core::ParallelRunner other{pool.thread_count() == 1 ? 3 : 1};
     const ScenarioResult rerun = run_scenario(page, defended, loads, other);
     const bool identical = rerun.serialized == saved.serialized;

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "bench/common.hpp"
+#include "experiment/runner.hpp"
 #include "corpus/site_generator.hpp"
 #include "fleet/fleet.hpp"
 #include "util/assert.hpp"
@@ -40,14 +41,15 @@ namespace {
 
 /// A small multi-origin page (3 servers, 8 objects) so the bench measures
 /// the runtime's session-multiplexing overhead, not one giant page.
-CorpusEntry recorded_page() {
+experiment::RecordedSite recorded_page() {
   corpus::SiteSpec spec;
   spec.name = "fleet-page";
   spec.seed = 7;
   spec.server_count = 3;
   spec.object_count = 8;
   spec.size_scale = 0.25;
-  CorpusEntry entry{corpus::generate_site(spec), record::RecordStore{}};
+  experiment::RecordedSite entry{corpus::generate_site(spec),
+                                 record::RecordStore{}};
   core::SessionConfig config;
   config.seed = 11;
   core::RecordSession session{entry.site, corpus::LiveWebConfig{}, config};
@@ -76,7 +78,8 @@ fleet::FleetSpec fleet_spec(int sessions, int shards, Microseconds stagger) {
 
 /// Shared-world fleet of `sessions` users on one loop; returns the p50
 /// PLT (ms) across its sessions. Deterministic.
-double shared_world_p50(const CorpusEntry& page, int sessions) {
+double shared_world_p50(const experiment::RecordedSite& page,
+                        int sessions) {
   fleet::MuxConfig config;
   config.fleet_seed = 21;
   config.stagger = 10'000;
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== fleet throughput: %d sessions, stagger %lld us ===\n",
               sessions, static_cast<long long>(stagger));
-  const CorpusEntry page = recorded_page();
+  const experiment::RecordedSite page = recorded_page();
 
   const fleet::FleetResult result = fleet::run_fleet(
       page.store, page.site.primary_url(), fleet_spec(sessions, shards, stagger));
@@ -134,7 +137,8 @@ int main(int argc, char** argv) {
   }
 
   // --- shared-world degradation ladder (deterministic) ------------------
-  print_rule();
+  std::puts(
+      "-------------------------------------------------------------------");
   double ladder_p50[3] = {0, 0, 0};
   const int ladder_sizes[3] = {1, 4, 16};
   for (int i = 0; i < 3; ++i) {
@@ -171,7 +175,8 @@ int main(int argc, char** argv) {
   if (selfcheck) {
     // Same fleet, deliberately different shard count AND thread count:
     // the per-session report must not move by a single byte.
-    print_rule();
+    std::puts(
+        "-------------------------------------------------------------------");
     const std::string reference = fleet::serialize_outcomes(result.sessions);
     const int other_shards = result.shards == 1 ? 3 : 1;
     core::ParallelRunner other_pool{

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "experiment/runner.hpp"
 #include "corpus/site_generator.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -72,14 +73,15 @@ using namespace mahimahi::bench;
 
 namespace {
 
-CorpusEntry recorded_page() {
+experiment::RecordedSite recorded_page() {
   corpus::SiteSpec spec;
   spec.name = "obs-page";
   spec.seed = 29;
   spec.server_count = 3;
   spec.object_count = 12;
   spec.size_scale = 0.25;
-  CorpusEntry entry{corpus::generate_site(spec), record::RecordStore{}};
+  experiment::RecordedSite entry{corpus::generate_site(spec),
+                                 record::RecordStore{}};
   core::SessionConfig config;
   config.seed = 31;
   core::RecordSession session{entry.site, corpus::LiveWebConfig{}, config};
@@ -101,7 +103,7 @@ core::SessionConfig session_config() {
 
 int main() {
   const int loads = env_int("MAHI_OBS_LOADS", 6);
-  const CorpusEntry page = recorded_page();
+  const experiment::RecordedSite page = recorded_page();
   const std::string url = page.site.primary_url();
 
   // Loads run sequentially on purpose: the wall-clock comparison should
@@ -185,7 +187,8 @@ int main() {
       static_cast<double>(g_heap_allocs.load()) / loads;
   const double heap_kbytes_per_load =
       static_cast<double>(g_heap_bytes.load()) / 1024.0 / loads;
-  print_rule();
+  std::puts(
+      "-------------------------------------------------------------------");
   std::printf("trace overhead: %d load(s), %zu events, %zu objects\n", loads,
               events, objects);
   std::printf("  untraced  %10.1f ms/load\n", per_load_ns_untraced / 1e6);

@@ -6,13 +6,11 @@
 // same recorded page, the same emulated networks, fully reproducible —
 // which is exactly what the toolkit is for.
 //
-// Set MAHI_PROTO_CC=cubic|vegas|bbr (any registered controller) to rerun
-// the identical sweep under a different congestion controller.
+// Set base.congestion_control to any registered controller ("cubic",
+// "vegas", "bbr", ...) to rerun the identical sweep under it.
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "cc/registry.hpp"
 #include "core/sessions.hpp"
 #include "corpus/site_generator.hpp"
 
@@ -21,18 +19,9 @@ using namespace mahimahi::core;
 using namespace mahimahi::literals;
 
 int main() {
-  const auto cc_choice = cc::controller_from_env("MAHI_PROTO_CC");
-  if (!cc_choice.has_value()) {
-    return 2;
-  }
-  const std::string& cc_name = *cc_choice;
-
   const auto site = corpus::generate_site(corpus::nytimes_like_spec());
   SessionConfig base;
   base.seed = 21;
-  base.congestion_control = cc_name;  // empty = Reno default
-  std::printf("congestion control: %s\n",
-              cc_name.empty() ? cc::kDefaultController : cc_name.c_str());
   RecordSession recorder{site, corpus::LiveWebConfig{}, base};
   const auto store = recorder.record();
   std::printf("page: %s (%zu objects, %zu origins)\n\n",

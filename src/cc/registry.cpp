@@ -1,7 +1,5 @@
 #include "cc/registry.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -82,21 +80,6 @@ std::vector<std::string> registered_controllers() {
     names.push_back(name);
   }
   return names;  // std::map iteration is already sorted
-}
-
-std::optional<std::string> controller_from_env(const char* env_var) {
-  const char* value = std::getenv(env_var);
-  const std::string name = value != nullptr ? value : "";
-  if (name.empty() || is_registered(name)) {
-    return name;
-  }
-  std::fprintf(stderr, "%s=%s is not a registered controller; choose one of:",
-               env_var, name.c_str());
-  for (const auto& registered : registered_controllers()) {
-    std::fprintf(stderr, " %s", registered.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  return std::nullopt;
 }
 
 }  // namespace mahimahi::cc

@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,13 +32,5 @@ void register_controller(const std::string& name, Factory factory);
 
 /// Registered controller names, sorted — the sweep axis for benches.
 [[nodiscard]] std::vector<std::string> registered_controllers();
-
-/// CLI convenience shared by bench/example knobs (MAHI_PROTO_CC and
-/// friends): read a controller name from environment variable `env_var`.
-/// Returns the value ("" when unset, meaning the default controller); on
-/// an unregistered name, prints an error listing what is registered to
-/// stderr and returns std::nullopt (callers exit 2).
-[[nodiscard]] std::optional<std::string> controller_from_env(
-    const char* env_var);
 
 }  // namespace mahimahi::cc

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/statistics.hpp"
 
 namespace mahimahi::core {
 
@@ -72,13 +71,6 @@ class ParallelRunner {
       results[static_cast<std::size_t>(index)] = fn(index);
     });
     return results;
-  }
-
-  /// map() for tasks producing one sample each: the per-index doubles are
-  /// merged into a Samples batch in load-index order.
-  template <typename Fn>
-  util::Samples map_samples(int count, Fn&& fn) {
-    return util::Samples{map(count, std::forward<Fn>(fn))};
   }
 
   /// Type-erased core of map(): runs task(i) for i in [0, count) on the

@@ -273,8 +273,16 @@ LiveWebSession::LoadOutcome LiveWebSession::load_outcome(int load_index) const {
   apply_shells(fabric, config_.shells, config_.host, rng);
   web::Browser browser{fabric, live.dns_server_address(),
                        session_browser_config(config_), rng.fork("browser")};
-  outcome.result = run_load(loop, browser, site_.primary_url());
+  outcome.result = run_load(loop, browser, site_.primary_url(), config_);
   return outcome;
+}
+
+Microseconds live_primary_one_way(const SessionConfig& config,
+                                  const corpus::LiveWebConfig& web,
+                                  int load_index) {
+  // The same stream load_outcome hands the LiveWeb it builds.
+  util::Rng rng = session_load_rng(config, load_index).fork("live-web");
+  return corpus::LiveWeb::primary_one_way(web, rng);
 }
 
 web::PageLoadResult LiveWebSession::load_once(int load_index) {

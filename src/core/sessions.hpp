@@ -200,6 +200,13 @@ class LiveWebSession {
   Microseconds last_rtt_{0};
 };
 
+/// The primary origin's one-way delay on load `load_index` of a
+/// LiveWebSession with this config and web — that load's primary_rtt / 2,
+/// from its weather draw alone, without building the live web.
+Microseconds live_primary_one_way(const SessionConfig& config,
+                                  const corpus::LiveWebConfig& web,
+                                  int load_index);
+
 /// Convenience: browser config scaled by a host profile's compute speed.
 web::BrowserConfig scaled_browser(const web::BrowserConfig& base,
                                   const HostProfile& host);

@@ -7,12 +7,30 @@
 
 namespace mahimahi::corpus {
 
+namespace {
+
+/// One multiplicative draw models a load's overall network weather.
+double draw_weather(const LiveWebConfig& config, util::Rng& rng) {
+  return config.variability_sigma > 0
+             ? rng.lognormal(0.0, config.variability_sigma)
+             : 1.0;
+}
+
+Microseconds weathered_primary(const LiveWebConfig& config, double weather) {
+  return static_cast<Microseconds>(
+      static_cast<double>(config.primary_one_way) * weather);
+}
+
+}  // namespace
+
+Microseconds LiveWeb::primary_one_way(const LiveWebConfig& config,
+                                      util::Rng& rng) {
+  return weathered_primary(config, draw_weather(config, rng));
+}
+
 LiveWeb::LiveWeb(net::Fabric& fabric, const GeneratedSite& site,
                  LiveWebConfig config, util::Rng rng) {
-  // One multiplicative draw models this load's overall network weather.
-  const double weather = config.variability_sigma > 0
-                             ? rng.lognormal(0.0, config.variability_sigma)
-                             : 1.0;
+  const double weather = draw_weather(config, rng);
 
   // Group the site's objects by hostname; one origin server per host.
   std::unordered_map<std::string, std::vector<const GeneratedObject*>> by_host;
@@ -30,8 +48,7 @@ LiveWeb::LiveWeb(net::Fabric& fabric, const GeneratedSite& site,
     // draw from the lognormal (CDNs often closer than the primary).
     Microseconds one_way;
     if (h == 0) {
-      one_way = static_cast<Microseconds>(
-          static_cast<double>(config.primary_one_way) * weather);
+      one_way = weathered_primary(config, weather);
       primary_one_way_ = one_way;
     } else {
       const double draw = static_cast<double>(config.other_median_one_way) *

@@ -47,6 +47,13 @@ class LiveWeb {
   LiveWeb(net::Fabric& fabric, const GeneratedSite& site, LiveWebConfig config,
           util::Rng rng);
 
+  /// The primary origin's one-way delay an instantiation seeded with
+  /// `rng` gets: its weather draw — the first draw the constructor makes
+  /// — applied to config.primary_one_way. Lets a caller learn a load's
+  /// delay without building its servers.
+  static Microseconds primary_one_way(const LiveWebConfig& config,
+                                      util::Rng& rng);
+
   /// DNS server address to hand to clients in this namespace.
   [[nodiscard]] net::Address dns_server_address() const {
     return dns_server_->address();

@@ -1,8 +1,13 @@
 #include "experiment/matrix.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "cc/registry.hpp"
+#include "core/sessions.hpp"
 #include "trace/synthesis.hpp"
 #include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::experiment {
 
@@ -79,8 +84,7 @@ std::uint64_t derive_cell_seed(std::uint64_t experiment_seed, int cell_index) {
 std::vector<Cell> expand_matrix(const ExperimentSpec& raw) {
   validate_spec(raw);
   const ExperimentSpec spec = with_defaults(raw);
-  // A "bare" default shell has no layers, which validate_spec rejects for
-  // explicit entries — it is only reachable as the default, by design.
+  const util::Rng root{spec.seed};
   std::vector<Cell> cells;
   cells.reserve(spec.sites.size() * spec.protocols.size() *
                 spec.shells.size() * spec.queues.size() * spec.ccs.size() *
@@ -103,6 +107,15 @@ std::vector<Cell> expand_matrix(const ExperimentSpec& raw) {
                 cell.fleet = fleet;
                 cell.fault = fault;
                 cell.cell_seed = derive_cell_seed(spec.seed, index);
+                cell.live_seed = root.fork("live-" + site.label).next();
+                if (shell.origins == Origins::kLive) {
+                  cell.load_seed = cell.live_seed;
+                } else if (site.corpus_size > 0) {
+                  cell.load_seed =
+                      root.fork("corpus-loads-" + site.label).next();
+                } else {
+                  cell.load_seed = cell.cell_seed;
+                }
                 cells.push_back(std::move(cell));
                 ++index;
               }
@@ -115,14 +128,76 @@ std::vector<Cell> expand_matrix(const ExperimentSpec& raw) {
   return cells;
 }
 
+const Cell& select_cell(const std::vector<Cell>& cells,
+                        std::string_view selector) {
+  const std::vector<std::string_view> wanted = util::split(selector, '/');
+  const Cell* found = nullptr;
+  for (const Cell& cell : cells) {
+    const std::string_view labels[] = {
+        cell.site.label,  cell.protocol == web::AppProtocol::kMultiplexed
+                              ? "mux"
+                              : "http11",
+        cell.shell.label, cell.queue.label,
+        cell.cc.label,    cell.fleet.label,
+        cell.fault.label};
+    const bool match = std::all_of(
+        wanted.begin(), wanted.end(), [&](std::string_view label) {
+          return std::find(std::begin(labels), std::end(labels), label) !=
+                 std::end(labels);
+        });
+    if (!match) {
+      continue;
+    }
+    if (found != nullptr) {
+      throw std::invalid_argument{"cell selector '" + std::string{selector} +
+                                  "' matches several cells (" +
+                                  found->label() + ", " + cell.label() +
+                                  ", ...); add axis labels"};
+    }
+    found = &cell;
+  }
+  if (found == nullptr) {
+    throw std::invalid_argument{"cell selector '" + std::string{selector} +
+                                "' matches no cell"};
+  }
+  return *found;
+}
+
+void check_claim(const Claim& claim, const std::vector<Cell>& cells) {
+  const Cell& cell = select_cell(cells, claim.cell);
+  if (claim.vs.empty()) {
+    return;
+  }
+  const Cell& vs = select_cell(cells, claim.vs);
+  if (claim.paired() && cell.site.label != vs.site.label) {
+    throw std::invalid_argument{
+        "claim '" + claim.name + "': paired statistics need aligned loads "
+        "(both cells on one site or corpus), but '" + claim.cell +
+        "' loads " + cell.site.label + " and '" + claim.vs + "' loads " +
+        vs.site.label};
+  }
+}
+
+Microseconds live_one_way_delay(const Cell& cell, int load_index) {
+  core::SessionConfig config;
+  config.seed = cell.live_seed;
+  return core::live_primary_one_way(config, corpus::LiveWebConfig{},
+                                    load_index);
+}
+
 MaterializedCell materialize_cell(const Cell& cell) {
   MaterializedCell materialized;
   for (const auto& layer : cell.shell.layers) {
     switch (layer.kind) {
       case ShellLayerSpec::Kind::kDelay: {
-        materialized.shells.push_back(
-            core::DelayShellSpec{layer.delay_one_way});
-        materialized.total_one_way_delay += layer.delay_one_way;
+        Microseconds delay = layer.delay_one_way;
+        if (layer.live_delay) {
+          materialized.live_delay_shell =
+              static_cast<int>(materialized.shells.size());
+          delay = live_one_way_delay(cell, 0);
+        }
+        materialized.shells.push_back(core::DelayShellSpec{delay});
+        materialized.total_one_way_delay += delay;
         break;
       }
       case ShellLayerSpec::Kind::kLink: {

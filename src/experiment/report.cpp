@@ -1,6 +1,7 @@
 #include "experiment/report.hpp"
 
 #include <array>
+#include <cmath>
 
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
@@ -30,7 +31,96 @@ void append_samples(std::string& out, const util::Samples& samples) {
   out += "]";
 }
 
+double statistic(Claim::Stat stat, const util::Samples& plt) {
+  switch (stat) {
+    case Claim::Stat::kMean:
+      return plt.mean();
+    case Claim::Stat::kP95:
+      return plt.percentile(95);
+    case Claim::Stat::kCv:
+      return 100.0 * plt.stddev() / plt.mean();
+    default:
+      return plt.median();
+  }
+}
+
 }  // namespace
+
+const char* ClaimResult::status_name() const {
+  switch (status) {
+    case Status::kPass:
+      return "pass";
+    case Status::kFail:
+      return "fail";
+    case Status::kUnbounded:
+      return "unbounded";
+    case Status::kSkipped:
+      break;
+  }
+  return "skipped";
+}
+
+ClaimResult evaluate_claim(const Claim& claim, const CellResult* cell,
+                           const CellResult* vs) {
+  ClaimResult result;
+  result.name = claim.name;
+  result.text = claim.text();
+  result.percent = claim.stat == Claim::Stat::kCv || !claim.vs.empty();
+  if (cell == nullptr || (!claim.vs.empty() && vs == nullptr)) {
+    return result;  // skipped: not in this shard
+  }
+  const util::Samples& plt = cell->plt_ms;
+  bool valid = !plt.empty() && (vs == nullptr || !vs->plt_ms.empty());
+  if (valid && claim.paired()) {
+    // Per-load % differences: load k of both cells replays the same page.
+    const auto& a = plt.values();
+    const auto& b = vs->plt_ms.values();
+    valid = a.size() == b.size();
+    util::Samples diffs;
+    for (std::size_t k = 0; valid && k < a.size(); ++k) {
+      valid = b[k] > 0;
+      if (valid) {
+        diffs.add(util::percent_difference(b[k], a[k]));
+      }
+    }
+    if (valid) {
+      result.value = diffs.percentile(
+          claim.stat == Claim::Stat::kPairedP95 ? 95 : 50);
+    }
+  } else if (valid) {
+    result.value = statistic(claim.stat, plt);
+    if (vs != nullptr) {
+      const double base = statistic(claim.stat, vs->plt_ms);
+      valid = base > 0;
+      if (valid) {
+        result.value = util::percent_difference(base, result.value);
+      }
+    }
+  }
+  if (!valid) {
+    result.value = 0;
+    result.status = ClaimResult::Status::kFail;
+    return result;
+  }
+  bool holds = true;
+  switch (claim.bound) {
+    case Claim::Bound::kNone:
+      result.status = ClaimResult::Status::kUnbounded;
+      return result;
+    case Claim::Bound::kAtMost:
+      holds = result.value <= claim.limit;
+      break;
+    case Claim::Bound::kAtLeast:
+      holds = result.value >= claim.limit;
+      break;
+    case Claim::Bound::kWithin:
+      holds = std::abs(result.value) <= claim.limit;
+      break;
+  }
+  result.status =
+      holds ? ClaimResult::Status::kPass : ClaimResult::Status::kFail;
+  return result;
+}
 
 std::string Report::to_json() const {
   std::string out = "{\n  \"schema\": \"mahimahi-experiment-v1\",\n";
@@ -113,7 +203,22 @@ std::string Report::to_json() const {
     }
     out += "}";
   }
-  out += "\n  ]\n}\n";
+  out += "\n  ]";
+  if (!claims.empty()) {
+    out += ",\n  \"claims\": [";
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      const ClaimResult& claim = claims[i];
+      append(out, i == 0 ? "\n" : ",\n", "    {\"name\": \"",
+             Escaped{claim.name}, "\", \"claim\": \"", Escaped{claim.text},
+             "\"");
+      if (claim.status != ClaimResult::Status::kSkipped) {
+        append(out, ", \"value\": ", Fixed{claim.value, 4});
+      }
+      append(out, ", \"status\": \"", claim.status_name(), "\"}");
+    }
+    out += "\n  ]";
+  }
+  out += "\n}\n";
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/spec.hpp"
 #include "util/statistics.hpp"
 
 namespace mahimahi::experiment {
@@ -65,6 +66,26 @@ struct CellResult {
   std::vector<FlowResult> flows;
 };
 
+/// One evaluated claim (ExperimentSpec::claims). The value is a
+/// percentage for `cv`, `vs` and paired statistics, milliseconds
+/// otherwise.
+struct ClaimResult {
+  enum class Status { kPass, kFail, kUnbounded, kSkipped };
+  std::string name;
+  std::string text;  // Claim::text()
+  Status status{Status::kSkipped};
+  double value{0};
+  bool percent{false};
+
+  [[nodiscard]] const char* status_name() const;
+};
+
+/// Evaluate `claim` over its cells' rows; a null row (cell outside this
+/// shard) skips it. A claim over a cell without samples — or, paired,
+/// over cells whose loads do not line up — fails, bounded or not.
+ClaimResult evaluate_claim(const Claim& claim, const CellResult* cell,
+                           const CellResult* vs);
+
 /// The experiment's result set with deterministic serializations: every
 /// number is formatted with fixed precision and cells are emitted in
 /// index order, so two runs of the same spec — at any thread count —
@@ -90,6 +111,10 @@ class Report {
   /// artifacts are overwritten by the --resume that completes it.
   bool interrupted{false};
   std::vector<CellResult> cells;
+  /// One entry per spec claim, in spec order. Serialized under "claims"
+  /// only when the spec has claims, so claim-free reports keep their
+  /// exact byte layout — the same gating idiom as load_errors.
+  std::vector<ClaimResult> claims;
 
   /// Schema "mahimahi-experiment-v1": metadata + one object per cell with
   /// full PLT samples, summary stats and the fairness block.

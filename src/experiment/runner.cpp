@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/sessions.hpp"
+#include "corpus/alexa.hpp"
 #include "experiment/checkpoint.hpp"
 #include "fleet/session_mux.hpp"
 #include "journal/journal.hpp"
@@ -33,9 +34,20 @@ core::SessionConfig cell_session_config(const Cell& cell,
                                         const MaterializedCell& materialized,
                                         Microseconds deadline) {
   core::SessionConfig config;
-  config.seed = cell.cell_seed;
+  config.seed = cell.load_seed;
   config.shells = materialized.shells;
+  if (cell.shell.host == "machine1") {
+    config.host = core::HostProfile::machine1();
+  } else if (cell.shell.host == "machine2") {
+    config.host = core::HostProfile::machine2();
+  }
   config.browser.protocol = cell.protocol;
+  if (cell.shell.requests > 0) {
+    config.browser.max_concurrent_requests = cell.shell.requests;
+  }
+  if (cell.shell.conns > 0) {
+    config.browser.max_connections_per_origin = cell.shell.conns;
+  }
   config.deadline = deadline;
   if (cell.cc.fleet.size() == 1) {
     config.congestion_control = cell.cc.fleet.front();
@@ -49,6 +61,14 @@ core::SessionConfig cell_session_config(const Cell& cell,
 replay::OriginServerSet::Options cell_origin_options(const Cell& cell) {
   replay::OriginServerSet::Options options;
   options.multiplexed = cell.protocol == web::AppProtocol::kMultiplexed;
+  options.single_server = cell.shell.origins == Origins::kSingle;
+  if (cell.shell.pool_initial > 0) {
+    options.worker_pool.initial_workers = cell.shell.pool_initial;
+    options.worker_pool.spawn_interval = cell.shell.pool_spawn;
+  }
+  if (cell.shell.think.has_value()) {
+    options.processing_delay = *cell.shell.think;
+  }
   return options;
 }
 
@@ -163,6 +183,31 @@ JournalState open_journal(const ExperimentSpec& spec,
 
 }  // namespace
 
+RecordedSite record_site(std::uint64_t experiment_seed, const SiteAxis& axis,
+                         int site_index) {
+  const util::Rng root{experiment_seed};
+  corpus::SiteSpec site_spec = axis.site;
+  std::string stream = "record-" + axis.label;
+  if (axis.corpus_size > 0) {
+    // Site k's spec is the k-th draw of the corpus stream, whatever the
+    // number of sites a run records.
+    util::Rng spec_rng = root.fork("corpus-specs-" + axis.label);
+    const std::vector<int> servers =
+        corpus::alexa_server_counts(spec_rng, axis.corpus_size);
+    for (int k = 0; k <= site_index; ++k) {
+      site_spec = corpus::alexa_site_spec(
+          k, servers[static_cast<std::size_t>(k)], spec_rng);
+    }
+    stream += "-" + std::to_string(site_index);
+  }
+  RecordedSite entry{corpus::generate_site(site_spec), record::RecordStore{}};
+  core::SessionConfig config;
+  config.seed = root.fork(stream).next();
+  core::RecordSession session{entry.site, corpus::LiveWebConfig{}, config};
+  entry.store = session.record();
+  return entry;
+}
+
 Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
   if (options.shard_count < 1 || options.shard_index < 0 ||
       options.shard_index >= options.shard_count) {
@@ -176,6 +221,9 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
                                                : spec.loads_per_cell;
 
   const std::vector<Cell> matrix = expand_matrix(spec);
+  for (const Claim& claim : spec.claims) {
+    check_claim(claim, matrix);  // a bad selector fails before any work
+  }
   std::vector<Cell> cells;
   for (const Cell& cell : matrix) {
     if (cell.index % options.shard_count == options.shard_index) {
@@ -190,35 +238,36 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
       open_journal(spec, matrix, loads, tracing, options.metrics, options);
 
   // --- record each referenced site once (they are shared, read-only) ----
-  // Distinct site labels in first-appearance order; recording seeds fork
-  // from (spec.seed, label), so the corpus is independent of the axis
-  // order and of which shard runs.
-  std::vector<const SiteAxis*> distinct_sites;
-  std::map<std::string, std::size_t> site_pos;
+  // Distinct site labels in first-appearance order, each taking one slot
+  // of `recorded` — a corpus takes one per load, since load k replays its
+  // site k. Recording seeds fork from (spec.seed, label[, k]), so the
+  // corpus is independent of the axis order and of which shard runs.
+  std::vector<std::pair<const SiteAxis*, int>> record_jobs;
+  std::map<std::string, std::size_t> site_pos;  // label -> first slot
   for (const Cell& cell : cells) {
-    if (site_pos.emplace(cell.site.label, distinct_sites.size()).second) {
-      distinct_sites.push_back(&cell.site);
+    if (!site_pos.emplace(cell.site.label, record_jobs.size()).second) {
+      continue;
+    }
+    if (cell.site.corpus_size == 0) {
+      record_jobs.emplace_back(&cell.site, 0);
+      continue;
+    }
+    if (loads > cell.site.corpus_size) {
+      throw std::invalid_argument{
+          "experiment: " + std::to_string(loads) + " loads exceed corpus '" +
+          cell.site.label + "' (load k replays site k)"};
+    }
+    for (int k = 0; k < loads; ++k) {
+      record_jobs.emplace_back(&cell.site, k);
     }
   }
-  struct RecordedSite {
-    corpus::GeneratedSite site;
-    record::RecordStore store;
-  };
-  const util::Rng seed_root{spec.seed};
   const std::vector<RecordedSite> recorded = [&] {
     MAHI_PROFILE("record");
-    return pool.map(
-        static_cast<int>(distinct_sites.size()), [&](int i) {
-          const SiteAxis& axis = *distinct_sites[static_cast<std::size_t>(i)];
-          RecordedSite entry{corpus::generate_site(axis.site),
-                             record::RecordStore{}};
-          core::SessionConfig config;
-          config.seed = seed_root.fork("record-" + axis.label).next();
-          core::RecordSession session{entry.site, corpus::LiveWebConfig{},
-                                      config};
-          entry.store = session.record();
-          return entry;
-        });
+    return pool.map(static_cast<int>(record_jobs.size()), [&](int i) {
+      const auto& [axis, site_index] =
+          record_jobs[static_cast<std::size_t>(i)];
+      return record_site(spec.seed, *axis, site_index);
+    });
   }();
 
   // Materialize each cell once (traces are immutable and shared): the
@@ -364,21 +413,29 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
           break;
         }
         MAHI_PROFILE("replay");
-        const RecordedSite& entry = recorded[site_pos.at(cell.site.label)];
+        const RecordedSite& entry =
+            recorded[site_pos.at(cell.site.label) +
+                     (cell.site.corpus_size > 0 ? task.load_index : 0)];
+        core::SessionConfig session_config =
+            cell_session_config(cell, cell_net, spec.cell_deadline);
+        if (cell_net.live_delay_shell >= 0) {
+          session_config.shells[static_cast<std::size_t>(
+              cell_net.live_delay_shell)] =
+              core::DelayShellSpec{live_one_way_delay(cell, task.load_index)};
+        }
         if (cell.fleet.sessions > 1) {
           // Offered-load cell: one load = one shared-world fleet, every
           // user contending in the same namespace. The whole fleet is one
-          // indivisible simulation under one task, seeded from (cell_seed,
+          // indivisible simulation under one task, seeded from (load_seed,
           // load index) — deterministic at any thread count, like every
           // other task. The watchdog deadline covers the whole mux.
           fleet::MuxConfig mux_config;
           mux_config.fleet_seed =
-              util::Rng{cell.cell_seed}
+              util::Rng{cell.load_seed}
                   .fork("fleet-load-" + std::to_string(task.load_index))
                   .next();
           mux_config.stagger = cell.fleet.stagger;
-          mux_config.session =
-              cell_session_config(cell, cell_net, spec.cell_deadline);
+          mux_config.session = std::move(session_config);
           // A shared-world fleet is one indivisible simulation: the whole
           // mux traces into this task's one buffer, sessions told apart by
           // their fleet index (shared infra = -1).
@@ -401,13 +458,19 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
           outcome.trace = tracer.take();
           break;
         }
-        core::SessionConfig session_config =
-            cell_session_config(cell, cell_net, spec.cell_deadline);
         session_config.tracer = task_tracer;
-        const core::ReplaySession session{entry.store, session_config,
-                                          cell_origin_options(cell)};
-        const web::PageLoadResult result =
-            session.load_once(entry.site.primary_url(), task.load_index);
+        web::PageLoadResult result;
+        if (cell.shell.origins == Origins::kLive) {
+          // The live web itself: the same site, no recording in the path.
+          const core::LiveWebSession live{entry.site, corpus::LiveWebConfig{},
+                                          session_config};
+          result = live.load_outcome(task.load_index).result;
+        } else {
+          const core::ReplaySession session{entry.store, session_config,
+                                            cell_origin_options(cell)};
+          result = session.load_once(entry.site.primary_url(),
+                                     task.load_index);
+        }
         outcome.trace = tracer.take();
         outcome.plts.push_back(to_ms(result.page_load_time));
         outcome.oks.push_back(result.success ? 1 : 0);
@@ -533,6 +596,25 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
             << " had failures";
       }
     }
+  }
+
+  // --- paper claims: each over the rows its selectors name; a claim
+  // with a cell outside this shard is reported skipped ------------------
+  const auto row = [&](const std::string& selector) -> const CellResult* {
+    if (selector.empty()) {
+      return nullptr;
+    }
+    const int index = select_cell(matrix, selector).index;
+    for (const CellResult& cell : report.cells) {
+      if (cell.index == index) {
+        return &cell;
+      }
+    }
+    return nullptr;
+  };
+  for (const Claim& claim : spec.claims) {
+    report.claims.push_back(
+        evaluate_claim(claim, row(claim.cell), row(claim.vs)));
   }
 
   // --- runner-lifecycle observability: one events.csv in the journal dir,

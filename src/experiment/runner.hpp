@@ -6,9 +6,11 @@
 #include <string>
 
 #include "core/parallel_runner.hpp"
+#include "corpus/site_generator.hpp"
 #include "experiment/matrix.hpp"
 #include "experiment/report.hpp"
 #include "experiment/spec.hpp"
+#include "record/store.hpp"
 
 namespace mahimahi::experiment {
 
@@ -87,16 +89,34 @@ struct RunOptions {
   std::function<bool(int, int, bool, std::uint32_t)> transient_fault{};
 };
 
-/// Expand the spec's matrix, record each corpus site once, fan every
+/// One recorded site, shared read-only by every cell that replays it.
+struct RecordedSite {
+  corpus::GeneratedSite site;
+  record::RecordStore store;
+};
+
+/// run_experiment's record step for one site: generate it and record it
+/// through RecordShell under a seed forked from (experiment seed, label).
+/// For a corpus axis (alexa:N), `site_index` k picks corpus site k — the
+/// k-th Alexa-calibrated spec of the corpus stream forked from
+/// (experiment seed, label) — recorded under (experiment seed, label, k).
+/// Deterministic: any caller gets the bytes a run replays.
+RecordedSite record_site(std::uint64_t experiment_seed, const SiteAxis& axis,
+                         int site_index = 0);
+
+/// Expand the spec's matrix, record each referenced site once (for a
+/// corpus, the sites its loads reach), fan every
 /// (cell, load) page load and every per-cell transport probe as an
 /// independent task across the pool — the worker finishing a cell's last
 /// task also derives that cell's metrics and exports its traces — and
 /// assemble the Report in cell order.
 ///
 /// Determinism contract: each site records under a seed forked from
-/// (spec.seed, site label); each cell's SessionConfig.seed is forked from
-/// (spec.seed, cell index); each load forks (cell seed, load index)
-/// inside the session layer. A fleet cell (offered-load axis,
+/// (spec.seed, site label); each cell's SessionConfig.seed is its
+/// Cell::load_seed — forked from (spec.seed, cell index) for a named site,
+/// from (spec.seed, corpus label) for a corpus; each load forks (that
+/// seed, load index) inside the session layer. Claims are evaluated over
+/// the finished rows (Report::claims). A fleet cell (offered-load axis,
 /// fleet_sessions > 1) runs each load as one shared-world
 /// fleet::SessionMux inside its task — one indivisible simulation, seeded
 /// the same way. No task reads shared mutable state, and results merge by

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 
 #include "cc/registry.hpp"
+#include "experiment/matrix.hpp"
 #include "util/strings.hpp"
 
 namespace mahimahi::experiment {
@@ -20,11 +22,15 @@ namespace {
                               ": " + message};
 }
 
-/// "30ms" / "30" -> 30 ms; "2s" -> 2000 ms; never negative.
+/// "30ms" / "30" -> 30 ms; "2s" -> 2000 ms; "1500us" -> 1.5 ms; never
+/// negative.
 Microseconds parse_duration_ms(std::string_view text, int line_number) {
   std::string_view digits = text;
   Microseconds unit = 1'000;  // default: milliseconds
-  if (util::ends_with(text, "ms")) {
+  if (util::ends_with(text, "us")) {
+    digits = text.substr(0, text.size() - 2);
+    unit = 1;
+  } else if (util::ends_with(text, "ms")) {
     digits = text.substr(0, text.size() - 2);
   } else if (util::ends_with(text, "s")) {
     digits = text.substr(0, text.size() - 1);
@@ -32,8 +38,8 @@ Microseconds parse_duration_ms(std::string_view text, int line_number) {
   }
   std::uint64_t value = 0;
   if (!util::parse_u64(digits, value)) {
-    fail(line_number, "expected a duration like '30ms' or '2s', got '" +
-                          std::string{text} + "'");
+    fail(line_number, "expected a duration like '30ms', '2s' or '1500us', "
+                      "got '" + std::string{text} + "'");
   }
   return static_cast<Microseconds>(value) * unit;
 }
@@ -72,9 +78,9 @@ std::pair<double, double> parse_rate_pair(std::string_view text,
 
 ShellAxis parse_shell_line(const std::vector<std::string_view>& tokens,
                            int line_number) {
-  if (tokens.size() < 3) {
-    fail(line_number, "shell needs a label and at least one layer, e.g. "
-                      "'shell lte delay=30ms link=lte'");
+  if (tokens.size() < 2) {
+    fail(line_number, "shell needs a label, e.g. 'shell replay' (the bare "
+                      "ReplayShell) or 'shell lte delay=30ms link=lte'");
   }
   ShellAxis axis;
   axis.label = std::string{tokens[1]};
@@ -83,20 +89,21 @@ ShellAxis parse_shell_line(const std::vector<std::string_view>& tokens,
   std::optional<ShellLayerSpec> delay;
   std::optional<ShellLayerSpec> link;
   std::optional<ShellLayerSpec> loss;
+  std::set<std::string_view> seen;
   for (std::size_t i = 2; i < tokens.size(); ++i) {
     const auto [key, value] = util::split_once(tokens[i], '=');
+    if (!seen.insert(key).second) {
+      fail(line_number, "duplicate " + std::string{key} + "= token");
+    }
     if (key == "delay") {
-      if (delay.has_value()) {
-        fail(line_number, "duplicate delay= token");
-      }
       ShellLayerSpec layer;
       layer.kind = ShellLayerSpec::Kind::kDelay;
-      layer.delay_one_way = parse_duration_ms(value, line_number);
+      layer.live_delay = value == "live";
+      if (!layer.live_delay) {
+        layer.delay_one_way = parse_duration_ms(value, line_number);
+      }
       delay = layer;
     } else if (key == "link") {
-      if (link.has_value()) {
-        fail(line_number, "duplicate link= token");
-      }
       ShellLayerSpec layer;
       layer.kind = ShellLayerSpec::Kind::kLink;
       if (value == "lte") {
@@ -111,18 +118,59 @@ ShellAxis parse_shell_line(const std::vector<std::string_view>& tokens,
       }
       link = layer;
     } else if (key == "loss") {
-      if (loss.has_value()) {
-        fail(line_number, "duplicate loss= token");
-      }
       ShellLayerSpec layer;
       layer.kind = ShellLayerSpec::Kind::kLoss;
       const auto [up, down] = parse_rate_pair(value, line_number);
       layer.uplink_loss = up;
       layer.downlink_loss = down;
       loss = layer;
+    } else if (key == "origins") {
+      if (value == "multi") {
+        axis.origins = Origins::kMulti;
+      } else if (value == "single") {
+        axis.origins = Origins::kSingle;
+      } else if (value == "live") {
+        axis.origins = Origins::kLive;
+      } else {
+        fail(line_number, "unknown origins '" + std::string{value} +
+                              "' (known: multi, single, live)");
+      }
+    } else if (key == "host") {
+      if (value != "machine1" && value != "machine2") {
+        fail(line_number, "unknown host '" + std::string{value} +
+                              "' (known: machine1, machine2)");
+      }
+      axis.host = std::string{value};
+    } else if (key == "pool") {
+      // INITIALxSPAWN: initial prefork workers x spawn interval.
+      const auto [initial, spawn] = util::split_once(value, 'x');
+      if (spawn.empty()) {
+        fail(line_number, "pool expects INITIALxSPAWN, e.g. 'pool=3x27ms', "
+                          "got '" + std::string{value} + "'");
+      }
+      axis.pool_initial =
+          static_cast<int>(parse_u64_or_fail(initial, line_number));
+      axis.pool_spawn = parse_duration_ms(spawn, line_number);
+      if (axis.pool_initial < 1 || axis.pool_initial > 256) {
+        fail(line_number, "pool workers must be in [1, 256]");
+      }
+    } else if (key == "think") {
+      axis.think = parse_duration_ms(value, line_number);
+    } else if (key == "requests" || key == "conns") {
+      const std::uint64_t count = parse_u64_or_fail(value, line_number);
+      if (count < 1 || count > 4096) {
+        fail(line_number, std::string{key} + " must be in [1, 4096]");
+      }
+      if (key == "requests") {
+        axis.requests = static_cast<std::size_t>(count);
+      } else {
+        axis.conns = static_cast<int>(count);
+      }
     } else {
-      fail(line_number, "unknown shell token '" + std::string{tokens[i]} +
-                            "' (expected delay=, link= or loss=)");
+      fail(line_number,
+           "unknown shell token '" + std::string{tokens[i]} +
+               "' (expected delay=, link=, loss=, origins=, host=, pool=, "
+               "think=, requests= or conns=)");
     }
   }
   if (delay.has_value()) {
@@ -259,7 +307,99 @@ FleetAxis parse_fleet_line(const std::vector<std::string_view>& tokens,
   return axis;
 }
 
+constexpr std::string_view kCorpusPrefix = "alexa:";
+constexpr std::uint64_t kMinCorpus = 10;
+constexpr std::uint64_t kMaxCorpus = 10'000;
+
+constexpr std::pair<std::string_view, Claim::Stat> kStats[] = {
+    {"median", Claim::Stat::kMedian},
+    {"mean", Claim::Stat::kMean},
+    {"p95", Claim::Stat::kP95},
+    {"cv", Claim::Stat::kCv},
+    {"paired-p50", Claim::Stat::kPairedP50},
+    {"paired-p95", Claim::Stat::kPairedP95},
+};
+constexpr std::pair<std::string_view, Claim::Bound> kBounds[] = {
+    {"<=", Claim::Bound::kAtMost},
+    {">=", Claim::Bound::kAtLeast},
+    {"within", Claim::Bound::kWithin},
+};
+
+/// claim <name> <stat> <cell> [vs <cell>] [<= | >= | within <bound>]
+Claim parse_claim_line(const std::vector<std::string_view>& tokens,
+                       int line_number) {
+  const auto usage = [&] {
+    fail(line_number, "claim expects '<name> <stat> <cell> [vs <cell>] "
+                      "[<= | >= | within <bound>]', e.g. 'claim overhead "
+                      "median delay0 vs replay <= 0.5'");
+  };
+  if (tokens.size() < 4) {
+    usage();
+  }
+  Claim claim;
+  claim.name = std::string{tokens[1]};
+  const auto stat =
+      std::find_if(std::begin(kStats), std::end(kStats),
+                   [&](const auto& s) { return s.first == tokens[2]; });
+  if (stat == std::end(kStats)) {
+    fail(line_number, "unknown claim statistic '" + std::string{tokens[2]} +
+                          "' (known: median, mean, p95, cv, paired-p50, "
+                          "paired-p95)");
+  }
+  claim.stat = stat->second;
+  claim.cell = std::string{tokens[3]};
+  std::size_t next = 4;
+  if (next < tokens.size() && tokens[next] == "vs") {
+    if (next + 1 >= tokens.size()) {
+      usage();
+    }
+    claim.vs = std::string{tokens[next + 1]};
+    next += 2;
+  }
+  if (next < tokens.size()) {
+    const auto bound =
+        std::find_if(std::begin(kBounds), std::end(kBounds),
+                     [&](const auto& b) { return b.first == tokens[next]; });
+    if (bound == std::end(kBounds) || next + 2 != tokens.size()) {
+      usage();
+    }
+    claim.bound = bound->second;
+    claim.limit = parse_double(tokens[next + 1], line_number);
+  }
+  if (claim.paired() && claim.vs.empty()) {
+    fail(line_number, "claim '" + claim.name + "': " +
+                          std::string{stat->first} +
+                          " compares two cells and needs 'vs <cell>'");
+  }
+  if (claim.bound == Claim::Bound::kWithin && claim.limit < 0) {
+    fail(line_number, "claim '" + claim.name + "': 'within' needs a "
+                      "non-negative bound");
+  }
+  return claim;
+}
+
 }  // namespace
+
+std::string Claim::text() const {
+  std::string out;
+  for (const auto& [word, value] : kStats) {
+    if (value == stat) {
+      out = std::string{word};
+    }
+  }
+  out += " " + cell;
+  if (!vs.empty()) {
+    out += " vs " + vs;
+  }
+  for (const auto& [word, value] : kBounds) {
+    if (value == bound) {
+      char limit_text[32];
+      std::snprintf(limit_text, sizeof limit_text, "%g", limit);
+      out += " " + std::string{word} + " " + limit_text;
+    }
+  }
+  return out;
+}
 
 std::vector<std::string> known_site_labels() {
   return {"cnbc", "nytimes", "wikihow"};
@@ -279,8 +419,8 @@ corpus::SiteSpec site_spec_for_label(const std::string& label) {
   for (const std::string& name : known_site_labels()) {
     known += known.empty() ? name : ", " + name;
   }
-  throw std::invalid_argument{"unknown site '" + label +
-                              "' (known: " + known + ")"};
+  throw std::invalid_argument{"unknown site '" + label + "' (known: " +
+                              known + ", or a corpus alexa:N)"};
 }
 
 ExperimentSpec parse_spec(std::string_view text) {
@@ -293,6 +433,7 @@ ExperimentSpec parse_spec(std::string_view text) {
   // so a spec redefining `seed` halfway down measured something other
   // than what its header said.)
   std::map<std::string, int> scalar_lines;
+  std::vector<int> claim_lines;  // parallel to spec.claims
   const auto claim_scalar = [&](std::string_view key, int at_line) {
     const auto [it, inserted] =
         scalar_lines.emplace(std::string{key}, at_line);
@@ -382,10 +523,21 @@ ExperimentSpec parse_spec(std::string_view text) {
       }
       SiteAxis axis;
       axis.label = std::string{tokens[1]};
-      try {
-        axis.site = site_spec_for_label(axis.label);
-      } catch (const std::invalid_argument& e) {
-        fail(line_number, e.what());
+      if (util::starts_with(axis.label, kCorpusPrefix)) {
+        std::uint64_t size = 0;
+        if (!util::parse_u64(tokens[1].substr(kCorpusPrefix.size()), size) ||
+            size < kMinCorpus || size > kMaxCorpus) {
+          fail(line_number, "corpus '" + axis.label +
+                                "' needs alexa:N with N in [10, 10000] (the "
+                                "Alexa calibration needs at least 10 sites)");
+        }
+        axis.corpus_size = static_cast<int>(size);
+      } else {
+        try {
+          axis.site = site_spec_for_label(axis.label);
+        } catch (const std::invalid_argument& e) {
+          fail(line_number, e.what());
+        }
       }
       spec.sites.push_back(std::move(axis));
     } else if (key == "protocol") {
@@ -449,15 +601,28 @@ ExperimentSpec parse_spec(std::string_view text) {
         }
       }
       spec.faults.push_back(std::move(axis));
+    } else if (key == "claim") {
+      spec.claims.push_back(parse_claim_line(tokens, line_number));
+      claim_lines.push_back(line_number);
     } else {
       fail(line_number,
            "unknown key '" + std::string{key} +
                "' (known: name, seed, loads, probe-seconds, deadline, "
                "task-retries, site, protocol, shell, queue, cc, fleet, "
-               "fault)");
+               "fault, claim)");
     }
   }
   validate_spec(spec);
+  if (!spec.claims.empty()) {
+    const std::vector<Cell> cells = expand_matrix(spec);
+    for (std::size_t i = 0; i < spec.claims.size(); ++i) {
+      try {
+        check_claim(spec.claims[i], cells);
+      } catch (const std::invalid_argument& e) {
+        fail(claim_lines[i], e.what());
+      }
+    }
+  }
   return spec;
 }
 
@@ -550,8 +715,28 @@ void validate_spec(const ExperimentSpec& spec) {
   }
 
   for (const auto& shell : spec.shells) {
-    require(!shell.layers.empty(),
-            "shell '" + shell.label + "' has no layers");
+    if (shell.origins == Origins::kLive) {
+      // The live web is a plain HTTP/1.1 Internet: no replay server farm
+      // to tune, one user, no injectors, and its weather depends only on
+      // (seed, site, load) — never on a host profile.
+      const std::string live = "shell '" + shell.label + "' (origins=live): ";
+      require(shell.host.empty() && shell.pool_initial == 0 &&
+                  !shell.think.has_value(),
+              live + "host=, pool= and think= apply to replay stacks only");
+      require(std::find(spec.protocols.begin(), spec.protocols.end(),
+                        web::AppProtocol::kMultiplexed) ==
+                  spec.protocols.end(),
+              live + "the live web speaks HTTP/1.1 only (drop protocol mux)");
+      for (const auto& fleet : spec.fleets) {
+        require(fleet.sessions == 1,
+                live + "fleet '" + fleet.label + "' needs one session");
+      }
+      for (const auto& f : spec.faults) {
+        require(f.label == "none", live + "fault '" + f.label +
+                                       "' cannot be injected into the "
+                                       "live web");
+      }
+    }
     for (const auto& layer : shell.layers) {
       switch (layer.kind) {
         case ShellLayerSpec::Kind::kDelay:
@@ -589,8 +774,20 @@ void validate_spec(const ExperimentSpec& spec) {
     }
   }
   for (const auto& site : spec.sites) {
-    require(site.site.object_count > 0 && site.site.server_count > 0,
-            "site '" + site.label + "' has an empty site spec");
+    if (site.corpus_size == 0) {
+      require(site.site.object_count > 0 && site.site.server_count > 0,
+              "site '" + site.label + "' has an empty site spec");
+      continue;
+    }
+    require(site.corpus_size >= static_cast<int>(kMinCorpus) &&
+                site.corpus_size <= static_cast<int>(kMaxCorpus),
+            "corpus '" + site.label + "' must have between 10 and 10000 "
+            "sites");
+    require(spec.loads_per_cell <= site.corpus_size,
+            "loads (" + std::to_string(spec.loads_per_cell) +
+                ") exceed corpus '" + site.label + "' (" +
+                std::to_string(site.corpus_size) +
+                " sites; load k replays site k)");
   }
 }
 

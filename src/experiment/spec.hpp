@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,8 +20,10 @@ namespace mahimahi::experiment {
 struct ShellLayerSpec {
   enum class Kind { kDelay, kLink, kLoss };
   Kind kind{Kind::kDelay};
-  // kDelay
+  // kDelay: a fixed one-way delay, or (`delay=live`) the primary-origin
+  // one-way delay the same (site, load) sees on the live web.
   Microseconds delay_one_way{0};
+  bool live_delay{false};
   // kLink: either a named built-in trace ("lte") or constant rates.
   std::string trace_name;
   double up_mbps{0};
@@ -30,11 +33,27 @@ struct ShellLayerSpec {
   double downlink_loss{0};
 };
 
+/// Where a cell's page comes from: ReplayShell with one server per
+/// recorded origin (the default), ReplayShell with every origin on one
+/// server (the paper's single-server ablation), or the live web itself.
+enum class Origins { kMulti, kSingle, kLive };
+
 /// Axis entry: a named stack of shells, outermost first (mm-delay ...
 /// mm-link ... mm-loss ... <app>, exactly like nesting the real tools).
+/// No layers = the bare ReplayShell. The remaining fields describe the
+/// stack under the shells — mm-webreplay's mode, the host machine, the
+/// server farm and the browser — and, like the layers, leave the cell's
+/// label unchanged. Zero / empty = the default.
 struct ShellAxis {
   std::string label;
   std::vector<ShellLayerSpec> layers;
+  Origins origins{Origins::kMulti};
+  std::string host;  // "machine1" / "machine2" (core::HostProfile)
+  int pool_initial{0};  // prefork pool: initial workers and spawn interval
+  Microseconds pool_spawn{0};
+  std::optional<Microseconds> think;  // per-request server delay
+  std::size_t requests{0};  // browser in-flight request cap
+  int conns{0};             // browser connections per origin
 };
 
 /// Axis entry: a queue discipline applied to both directions of the
@@ -54,10 +73,14 @@ struct CcAxis {
   std::vector<std::string> fleet;
 };
 
-/// Axis entry: a corpus site (generated + recorded once per experiment).
+/// Axis entry: a named site (generated + recorded once per experiment),
+/// or — label "alexa:N", corpus_size N — an Alexa-calibrated corpus of N
+/// sites whose cells replay site k on load k, so their PLT samples are
+/// the corpus CDF.
 struct SiteAxis {
   std::string label;
   corpus::SiteSpec site{};
+  int corpus_size{0};
 };
 
 /// Axis entry: offered load — how many concurrent emulated users load the
@@ -83,6 +106,29 @@ struct FleetAxis {
 struct FaultAxis {
   std::string label{"none"};
   fault::FaultSpec fault{};
+};
+
+/// A paper claim checked against the report: a statistic of one cell — or
+/// its percentage difference against a second cell — optionally bounded.
+///   claim <name> <stat> <cell> [vs <cell>] [<= | >= | within <bound>]
+/// A cell is selected by '/'-separated axis labels matching exactly one
+/// cell. paired-p50 / paired-p95 take percentiles of the per-load %
+/// differences, so both cells must load the same site (aligned loads).
+struct Claim {
+  enum class Stat { kMedian, kMean, kP95, kCv, kPairedP50, kPairedP95 };
+  enum class Bound { kNone, kAtMost, kAtLeast, kWithin };
+  std::string name;
+  Stat stat{Stat::kMedian};
+  std::string cell;
+  std::string vs;  // empty = a statistic of `cell` alone
+  Bound bound{Bound::kNone};
+  double limit{0};
+
+  [[nodiscard]] bool paired() const {
+    return stat == Stat::kPairedP50 || stat == Stat::kPairedP95;
+  }
+  /// "<stat> <cell> [vs <cell>] [<op> <bound>]", as written in a spec.
+  [[nodiscard]] std::string text() const;
 };
 
 /// A declarative experiment: the cartesian product of its axes. Parse one
@@ -119,6 +165,8 @@ struct ExperimentSpec {
   std::vector<CcAxis> ccs;
   std::vector<FleetAxis> fleets;
   std::vector<FaultAxis> faults;
+
+  std::vector<Claim> claims;
 };
 
 /// Parse the line-oriented keyval format (see README "Experiments"):
@@ -129,9 +177,15 @@ struct ExperimentSpec {
 ///   loads 3
 ///   probe-seconds 8
 ///   site nytimes
+///   site alexa:120                 # corpus: load k replays site k
 ///   protocol http11
+///   shell replay                   # bare ReplayShell
 ///   shell lte delay=30ms link=lte
 ///   shell cable delay=10ms link=12x1.5 loss=0.002
+///   shell single delay=15ms link=14 origins=single pool=3x27ms think=1500us
+///   shell m2 delay=25ms link=6 host=machine2 requests=24 conns=6
+///   shell web origins=live         # the live web, no replay
+///   shell fair delay=live          # DelayShell at the live primary delay
 ///   queue fifo infinite
 ///   queue dt droptail packets=100
 ///   queue aqm pie target=15ms tupdate=15ms
@@ -142,6 +196,7 @@ struct ExperimentSpec {
 ///   fleet 16                       # shorthand: label "16", 16 sessions
 ///   fault none                     # healthy control (the default)
 ///   fault chaos crash:p=0.05 stall:p=0.02 retry:deadline=4s,max=2,base=250ms,cap=4s
+///   claim overhead median fair vs replay <= 2
 ///
 /// Scalar keys (name, seed, loads, probe-seconds) may appear at most
 /// once; a duplicate is an error naming both lines, never a silent
@@ -157,8 +212,11 @@ ExperimentSpec load_spec_file(const std::string& path);
 /// congestion controllers (against the cc registry), queue specs
 /// make_queue would refuse, non-positive loads, duplicate axis labels
 /// (cells must be uniquely addressable), malformed shell layers, fleet
-/// sizes outside [1, 256]. parse_spec calls this; programmatic builders
-/// should too.
+/// sizes outside [1, 256], corpora under 10 sites or smaller than the
+/// loads, live-web cells the live web cannot run. parse_spec calls this;
+/// programmatic builders should too. (Claims are checked against the
+/// expanded matrix: parse_spec names the offending line, run_experiment
+/// throws.)
 void validate_spec(const ExperimentSpec& spec);
 
 /// Parse helpers shared with mm_experiment's CLI.

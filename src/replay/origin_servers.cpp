@@ -18,47 +18,12 @@ OriginServerSet::OriginServerSet(net::Fabric& fabric,
     return matcher_.respond(request);
   };
 
-  // Hostname-targeted controller overrides resolve to recorded IPs once.
-  // An entry matching no recorded hostname is a configuration error, not
-  // a no-op: a typo must never silently measure the wrong fleet.
-  std::map<net::Ipv4, std::string> cc_by_ip;
-  if (!options.cc_by_origin.empty()) {
-    std::set<std::string> matched;
-    for (const auto& [host, ip] : store.host_bindings()) {
-      const auto it = options.cc_by_origin.find(host);
-      if (it != options.cc_by_origin.end()) {
-        // Servers are per-IP, so two hostnames co-recorded on one IP
-        // cannot be pinned to *different* controllers — refuse the
-        // ambiguity rather than keep whichever binding enumerates first.
-        const auto [existing, inserted] = cc_by_ip.emplace(ip, it->second);
-        if (!inserted && existing->second != it->second) {
-          throw std::invalid_argument{
-              "cc_by_origin pins '" + host + "' to '" + it->second +
-              "', but another hostname on the same recorded IP is pinned "
-              "to '" + existing->second + "'"};
-        }
-        matched.insert(it->first);
-      }
-    }
-    for (const auto& [host, controller] : options.cc_by_origin) {
-      (void)controller;
-      if (matched.count(host) == 0) {
-        throw std::invalid_argument{
-            "cc_by_origin names '" + host +
-            "', which matches no recorded hostname in this store"};
-      }
-    }
-  }
-
   const auto spawn = [&](const net::Address& address) {
     net::TcpConnection::Config tcp = options.tcp;
     if (!options.cc_fleet.empty()) {
       tcp.congestion_control =
           options.cc_fleet[server_controllers_.size() %
                            options.cc_fleet.size()];
-    }
-    if (const auto it = cc_by_ip.find(address.ip); it != cc_by_ip.end()) {
-      tcp.congestion_control = it->second;
     }
     server_controllers_.push_back(tcp.congestion_control.empty()
                                       ? std::string{cc::kDefaultController}

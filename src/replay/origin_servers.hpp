@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,8 +36,9 @@ class OriginServerSet {
     /// browser's six connections per instance and never starves; the
     /// single-server ablation funnels every connection into one cold pool
     /// — the mechanism behind Table 2 and Figure 3.
-    /// Calibrated against the paper's Table 2 (see EXPERIMENTS.md):
-    /// Apache prefork starts ~3 ready processes and grows the pool slowly.
+    /// Calibrated against the paper's Table 2 (the sweep behind it is
+    /// experiments/paper/ablation.mx): Apache prefork starts ~3 ready
+    /// processes and grows the pool slowly.
     net::WorkerPool worker_pool{.initial_workers = 3,
                                 .max_workers = 256,
                                 .spawn_interval = 27'000};
@@ -57,14 +57,6 @@ class OriginServerSet {
     /// therefore deterministic — serves responses under
     /// cc_fleet[j % size()] instead of tcp.congestion_control.
     std::vector<std::string> cc_fleet;
-    /// Hostname-targeted override, applied after cc_fleet: every origin
-    /// server whose recorded IP backs `hostname` serves under the named
-    /// controller. Lets a spec pin "www.site.test runs bbr" regardless of
-    /// spawn order. Strict by construction: a hostname matching nothing
-    /// in the store throws, as do two co-recorded hostnames pinning the
-    /// same IP to different controllers (servers are per-IP; an ambiguous
-    /// pin must never silently measure the wrong fleet).
-    std::map<std::string, std::string> cc_by_origin;
     /// Origin-fault plan: when active, every spawned server consults it
     /// per request (crash mid-response / stall / slow-start), keyed by the
     /// server's deterministic spawn index so origins fail independently.

@@ -25,8 +25,10 @@ enum class AppProtocol {
 };
 
 /// Tunables of the page-load model. Defaults approximate a 2014 desktop
-/// Chrome on commodity hardware; EXPERIMENTS.md documents the calibration
-/// against the paper's Table 1 page-load times.
+/// Chrome on commodity hardware, calibrated against the paper's Table 1
+/// page-load times (experiments/paper/table1.mx); the sensitivity of the
+/// request and connection limits is charted in
+/// experiments/paper/ablation.mx.
 struct BrowserConfig {
   AppProtocol protocol{AppProtocol::kHttp11};
   /// HTTP/1.1 connection pool: per-origin parallelism (Chrome uses 6).

@@ -41,17 +41,6 @@ TEST(ParallelRunner, MapMergesResultsInIndexOrder) {
   }
 }
 
-TEST(ParallelRunner, MapSamplesPreservesLoadIndexOrder) {
-  ParallelRunner runner{8};
-  const auto samples = runner.map_samples(100, [](int i) {
-    return static_cast<double>(i);  // identity: order is observable
-  });
-  ASSERT_EQ(samples.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(samples.values()[i], static_cast<double>(i));
-  }
-}
-
 TEST(ParallelRunner, EmptyAndNegativeCountsAreNoOps) {
   ParallelRunner runner{2};
   EXPECT_TRUE(runner.map(0, [](int i) { return i; }).empty());

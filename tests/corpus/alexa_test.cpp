@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "experiment/runner.hpp"
 #include "util/statistics.hpp"
 
 namespace mahimahi::corpus {
@@ -66,6 +67,23 @@ TEST(Alexa, SingleServerSpecsAreSmallPages) {
   util::Rng rng{13};
   const auto spec = alexa_site_spec(5, 1, rng);
   EXPECT_LE(spec.object_count, 18);
+}
+
+TEST(Alexa, RecordingPreservesEachSitesServerTopology) {
+  // Section 4 counts physical servers per site; the corpus is only a
+  // faithful stand-in if recording keeps them. Record the first 30 sites
+  // through the experiment engine's corpus builder and count the distinct
+  // (IP, port) pairs each recording captured.
+  experiment::SiteAxis corpus;
+  corpus.label = "alexa:500";
+  corpus.corpus_size = 500;
+  for (int k = 0; k < 30; ++k) {
+    const experiment::RecordedSite site =
+        experiment::record_site(/*experiment_seed=*/0xA1E7A, corpus, k);
+    EXPECT_EQ(site.store.distinct_servers().size(),
+              static_cast<std::size_t>(site.site.spec.server_count))
+        << "site " << k;
+  }
 }
 
 }  // namespace

@@ -65,5 +65,84 @@ TEST(ReportJson, BenchRowsParseWithTheirNames) {
             0u);
 }
 
+CellResult row_with(std::vector<double> plts) {
+  CellResult row;
+  row.plt_ms = util::Samples{std::move(plts)};
+  return row;
+}
+
+Claim make_claim(Claim::Stat stat, const std::string& vs, Claim::Bound bound,
+                 double limit) {
+  return Claim{std::string{"c"}, stat, std::string{"a"}, vs, bound, limit};
+}
+
+TEST(Claims, StatisticsBoundsAndVerdicts) {
+  const CellResult a = row_with({110, 220, 330});
+  const CellResult b = row_with({100, 200, 300});
+  using Stat = Claim::Stat;
+  using Bound = Claim::Bound;
+  // One cell: a plain statistic in ms.
+  ClaimResult r =
+      evaluate_claim(make_claim(Stat::kMean, "", Bound::kAtMost, 220), &a,
+                     nullptr);
+  EXPECT_DOUBLE_EQ(r.value, 220);
+  EXPECT_FALSE(r.percent);
+  EXPECT_EQ(r.status, ClaimResult::Status::kPass);
+  // vs: the % difference of the statistic, relative to the vs cell.
+  r = evaluate_claim(make_claim(Stat::kMedian, "b", Bound::kAtLeast, 10.5),
+                     &a, &b);
+  EXPECT_DOUBLE_EQ(r.value, 10);
+  EXPECT_TRUE(r.percent);
+  EXPECT_EQ(r.status, ClaimResult::Status::kFail);
+  EXPECT_STREQ(r.status_name(), "fail");
+  // within bounds |value|.
+  r = evaluate_claim(make_claim(Stat::kMedian, "b", Bound::kWithin, 10), &b,
+                     &a);
+  EXPECT_NEAR(r.value, -9.0909, 1e-3);
+  EXPECT_EQ(r.status, ClaimResult::Status::kPass);
+  // Paired: percentiles of the per-load differences (all +10% here).
+  r = evaluate_claim(make_claim(Stat::kPairedP95, "b", Bound::kNone, 0), &a,
+                     &b);
+  EXPECT_NEAR(r.value, 10, 1e-9);
+  EXPECT_EQ(r.status, ClaimResult::Status::kUnbounded);
+  // Outside the shard: skipped, no value.
+  r = evaluate_claim(make_claim(Stat::kMedian, "b", Bound::kAtMost, 1), &a,
+                     nullptr);
+  EXPECT_EQ(r.status, ClaimResult::Status::kSkipped);
+}
+
+TEST(Claims, MissingOrMisalignedSamplesFailEvenUnbounded) {
+  const CellResult a = row_with({110, 220, 330});
+  const CellResult short_row = row_with({100, 200});
+  const CellResult empty = row_with({});
+  EXPECT_EQ(evaluate_claim(make_claim(Claim::Stat::kPairedP50, "b",
+                                      Claim::Bound::kNone, 0),
+                           &a, &short_row)
+                .status,
+            ClaimResult::Status::kFail);
+  EXPECT_EQ(evaluate_claim(make_claim(Claim::Stat::kCv, "",
+                                      Claim::Bound::kNone, 0),
+                           &empty, nullptr)
+                .status,
+            ClaimResult::Status::kFail);
+}
+
+TEST(ReportJson, ClaimsParseBack) {
+  Report report = report_with_awkward_strings();
+  report.claims.push_back(
+      ClaimResult{"over\"head", "median a vs b <= 1",
+                  ClaimResult::Status::kPass, 0.25, true});
+  report.claims.push_back(ClaimResult{"far", "median c",
+                                      ClaimResult::Status::kSkipped, 0, false});
+  const JsonValue root = util::parse_json(report.to_json());
+  const JsonValue& claims = *root.find("claims");
+  ASSERT_EQ(claims.array.size(), 2u);
+  EXPECT_EQ(claims.array[0].find("name")->string, "over\"head");
+  EXPECT_DOUBLE_EQ(claims.array[0].find("value")->number, 0.25);
+  EXPECT_EQ(claims.array[0].find("status")->string, "pass");
+  EXPECT_EQ(claims.array[1].find("value"), nullptr);
+  EXPECT_EQ(claims.array[1].find("status")->string, "skipped");
+}
+
 }  // namespace
 }  // namespace mahimahi::experiment

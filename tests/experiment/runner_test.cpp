@@ -1,11 +1,14 @@
 // End-to-end tests of the experiment engine on a deliberately tiny corpus
 // site: matrix execution, thread-count byte-identity of the serialized
-// reports (the engine's core contract), sharding, and the mixed-CC
-// fairness cell.
+// reports (the engine's core contract), sharding, the mixed-CC fairness
+// cell, and the paper-figure vocabulary: corpus sites, live-web cells,
+// `delay=live` and claims.
 
 #include "experiment/runner.hpp"
 
 #include <gtest/gtest.h>
+
+#include "core/sessions.hpp"
 
 namespace mahimahi::experiment {
 namespace {
@@ -290,6 +293,164 @@ TEST(ExperimentRunner, FaultShardsMatchTheUnshardedRows) {
     }
     EXPECT_TRUE(matched) << "cell " << row.index << " diverged under sharding";
   }
+}
+
+/// The session config run_experiment gives a single-user, single-flow cell
+/// for load k — the reference a direct session load is compared against.
+core::SessionConfig reference_config(const Cell& cell) {
+  core::SessionConfig config;
+  config.seed = cell.load_seed;
+  config.shells = materialize_cell(cell).shells;
+  config.congestion_control = cell.cc.fleet.front();
+  return config;
+}
+
+ExperimentSpec corpus_spec() {
+  return parse_spec(
+      "name corpus\nseed 5\nloads 3\nsite alexa:10\n"
+      "shell a delay=5ms\n"
+      "shell b delay=5ms\n"
+      "shell c delay=5ms link=12\n");
+}
+
+TEST(ExperimentRunner, CorpusCellsLoadSiteKWithTheSameSeed) {
+  // Paired loads come from the input: every cell over one corpus loads
+  // site k with a seed forked from (spec seed, corpus label, k), never
+  // from the cell index.
+  const ExperimentSpec spec = corpus_spec();
+  const std::vector<Cell> cells = expand_matrix(spec);
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_EQ(cells[0].load_seed, cells[1].load_seed);
+  EXPECT_EQ(cells[0].load_seed, cells[2].load_seed);
+  EXPECT_NE(cells[0].load_seed, cells[0].cell_seed);
+  RunOptions options;
+  options.transport_probes = false;
+  const Report report = run_experiment(spec, options);
+  ASSERT_EQ(report.cells.size(), 3u);
+  // Cells a and b differ only in their label: same site, same seed, same
+  // samples, load for load.
+  EXPECT_EQ(report.cells[0].plt_ms.values(), report.cells[1].plt_ms.values());
+  EXPECT_NE(report.cells[0].plt_ms.values(), report.cells[2].plt_ms.values());
+  // Load k replays site k: the samples are a CDF over distinct pages.
+  EXPECT_NE(report.cells[0].plt_ms.values()[0],
+            report.cells[0].plt_ms.values()[1]);
+  // Named sites keep their per-cell seeds.
+  for (const Cell& cell : expand_matrix(small_spec())) {
+    EXPECT_EQ(cell.load_seed, cell.cell_seed);
+  }
+}
+
+TEST(ExperimentRunner, CorpusLoadKEqualsADirectLoadOfSiteK) {
+  const ExperimentSpec spec = corpus_spec();
+  const Cell cell = expand_matrix(spec)[2];
+  RunOptions options;
+  options.transport_probes = false;
+  const Report report = run_experiment(spec, options);
+  const std::vector<double>& plts = report.cells[2].plt_ms.values();
+  ASSERT_EQ(plts.size(), 3u);
+  for (int k = 0; k < 3; ++k) {
+    const RecordedSite site = record_site(spec.seed, spec.sites[0], k);
+    EXPECT_EQ(site.site.spec.name, "site" + std::to_string(k));
+    const core::ReplaySession session{site.store, reference_config(cell)};
+    const double direct =
+        to_ms(session.load_once(site.site.primary_url(), k).page_load_time);
+    EXPECT_EQ(direct, plts[static_cast<std::size_t>(k)]) << "load " << k;
+  }
+}
+
+TEST(ExperimentRunner, CorpusLoadsBeyondTheCorpusAreRejected) {
+  RunOptions options;
+  options.loads_override = 11;
+  EXPECT_THROW(run_experiment(corpus_spec(), options), std::invalid_argument);
+}
+
+TEST(ExperimentRunner, LiveDelayEqualsTheLiveLoadsPrimaryOneWayDelay) {
+  ExperimentSpec spec;
+  spec.name = "live";
+  spec.seed = 31;
+  spec.loads_per_cell = 3;
+  spec.sites = {tiny_site()};
+  ShellLayerSpec live_delay;
+  live_delay.kind = ShellLayerSpec::Kind::kDelay;
+  live_delay.live_delay = true;
+  spec.shells = {ShellAxis{"web", {}, Origins::kLive},
+                 ShellAxis{"fair", {live_delay}}};
+  const std::vector<Cell> cells = expand_matrix(spec);
+  ASSERT_EQ(cells.size(), 2u);
+  const Cell& web = cells[0];
+  const Cell& fair = cells[1];
+  EXPECT_EQ(web.load_seed, fair.live_seed);
+  RunOptions options;
+  options.transport_probes = false;
+  const Report report = run_experiment(spec, options);
+  const RecordedSite site = record_site(spec.seed, spec.sites[0]);
+  core::SessionConfig live_config = reference_config(web);
+  const core::LiveWebSession live{site.site, corpus::LiveWebConfig{},
+                                  live_config};
+  for (int k = 0; k < 3; ++k) {
+    const auto index = static_cast<std::size_t>(k);
+    const core::LiveWebSession::LoadOutcome outcome = live.load_outcome(k);
+    EXPECT_EQ(to_ms(outcome.result.page_load_time),
+              report.cells[0].plt_ms.values()[index]);
+    EXPECT_EQ(outcome.primary_rtt / 2, live_one_way_delay(fair, k));
+    // The replay cell ran under DelayShell at exactly that delay.
+    core::SessionConfig config = reference_config(fair);
+    config.shells = {core::DelayShellSpec{outcome.primary_rtt / 2}};
+    const core::ReplaySession session{site.store, config};
+    EXPECT_EQ(
+        to_ms(session.load_once(site.site.primary_url(), k).page_load_time),
+        report.cells[1].plt_ms.values()[index])
+        << "load " << k;
+  }
+}
+
+TEST(ExperimentRunner, ClaimFreeReportsCarryNoClaimsKey) {
+  ExperimentSpec spec = small_spec();
+  RunOptions options;
+  options.transport_probes = false;
+  const Report plain = run_experiment(spec, options);
+  EXPECT_EQ(plain.to_json().find("\"claims\""), std::string::npos);
+  Claim claim;
+  claim.name = "cubic-vs-reno";
+  claim.cell = "cubic";
+  claim.vs = "reno";
+  spec.claims = {claim};
+  const Report claimed = run_experiment(spec, options);
+  // Claims ride after the cells; everything before them is untouched.
+  const std::string plain_json = plain.to_json();
+  const std::string claimed_json = claimed.to_json();
+  const std::string body = plain_json.substr(0, plain_json.size() - 3);
+  EXPECT_EQ(claimed_json.substr(0, body.size()), body);
+  EXPECT_NE(claimed_json.find("\"claims\": [\n    {\"name\": "
+                              "\"cubic-vs-reno\", \"claim\": \"median cubic "
+                              "vs reno\", \"value\": "),
+            std::string::npos)
+      << claimed_json;
+  EXPECT_EQ(claimed.to_csv(), plain.to_csv());
+  EXPECT_EQ(claimed.to_bench_json(), plain.to_bench_json());
+  ASSERT_EQ(claimed.claims.size(), 1u);
+  EXPECT_EQ(claimed.claims[0].status, ClaimResult::Status::kUnbounded);
+}
+
+TEST(ExperimentRunner, ClaimsOutsideTheShardAreSkipped) {
+  ExperimentSpec spec = small_spec();
+  Claim claim;
+  claim.name = "across-shards";
+  claim.cell = "cubic";
+  claim.vs = "reno";
+  claim.bound = Claim::Bound::kWithin;
+  claim.limit = 1000;
+  spec.claims = {claim};
+  RunOptions options;
+  options.transport_probes = false;
+  options.shard_count = 2;
+  const Report shard = run_experiment(spec, options);
+  ASSERT_EQ(shard.claims.size(), 1u);
+  EXPECT_EQ(shard.claims[0].status, ClaimResult::Status::kSkipped);
+  EXPECT_EQ(shard.to_json().find("\"value\""), std::string::npos);
+  options.shard_count = 1;
+  EXPECT_EQ(run_experiment(spec, options).claims[0].status,
+            ClaimResult::Status::kPass);
 }
 
 TEST(ExperimentRunner, FailedLoadsLandAsReportRowsNotCrashes) {

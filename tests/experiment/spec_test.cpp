@@ -185,6 +185,138 @@ TEST(SpecParse, RejectsZeroFleetCount) {
   EXPECT_THROW(parse_spec("cc z 0xcubic\n"), std::invalid_argument);
 }
 
+/// Parse `text` expecting a typed error that names `line` and contains
+/// `fragment`.
+void expect_spec_error(const std::string& text, int line,
+                       const std::string& fragment) {
+  try {
+    parse_spec(text);
+    FAIL() << "expected std::invalid_argument for: " << text;
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("line " + std::to_string(line)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(fragment), std::string::npos) << message;
+  }
+}
+
+TEST(SpecParse, CorpusSiteParses) {
+  const ExperimentSpec spec = parse_spec("loads 12\nsite alexa:120\n");
+  ASSERT_EQ(spec.sites.size(), 1u);
+  EXPECT_EQ(spec.sites[0].label, "alexa:120");
+  EXPECT_EQ(spec.sites[0].corpus_size, 120);
+}
+
+TEST(SpecParse, CorpusSiteErrorsAreTypedAndNameTheLine) {
+  // The Alexa calibration needs >= 10 sites: a smaller corpus must fail
+  // the spec, never abort inside alexa_server_counts.
+  expect_spec_error("name c\nsite alexa:8\n", 2, "alexa:8");
+  expect_spec_error("name c\nsite alexa:0\n", 2, "alexa:0");
+  expect_spec_error("name c\n\nsite alexa:many\n", 3, "alexa:many");
+  expect_spec_error("name c\nsite alexa:\n", 2, "N in [10, 10000]");
+  // Load k replays site k: more loads than sites is a spec error too.
+  EXPECT_THROW(parse_spec("loads 11\nsite alexa:10\n"), std::invalid_argument);
+  EXPECT_NO_THROW(parse_spec("loads 10\nsite alexa:10\n"));
+}
+
+TEST(SpecParse, StackTokensRideOnTheShellLine) {
+  const ExperimentSpec spec = parse_spec(
+      "shell replay\n"
+      "shell single delay=15ms link=14 origins=single pool=3x27ms "
+      "think=1500us requests=64 conns=2\n"
+      "shell m2 delay=25ms link=6 host=machine2\n"
+      "shell web origins=live\n"
+      "shell fair delay=live\n");
+  ASSERT_EQ(spec.shells.size(), 5u);
+  EXPECT_TRUE(spec.shells[0].layers.empty());  // the bare ReplayShell
+  const ShellAxis& single = spec.shells[1];
+  EXPECT_EQ(single.origins, Origins::kSingle);
+  EXPECT_EQ(single.pool_initial, 3);
+  EXPECT_EQ(single.pool_spawn, 27'000);
+  ASSERT_TRUE(single.think.has_value());
+  EXPECT_EQ(*single.think, 1'500);
+  EXPECT_EQ(single.requests, 64u);
+  EXPECT_EQ(single.conns, 2);
+  EXPECT_EQ(single.layers.size(), 2u);
+  EXPECT_EQ(spec.shells[2].host, "machine2");
+  EXPECT_EQ(spec.shells[3].origins, Origins::kLive);
+  ASSERT_EQ(spec.shells[4].layers.size(), 1u);
+  EXPECT_TRUE(spec.shells[4].layers[0].live_delay);
+  // Stack tokens leave cell labels alone.
+  EXPECT_EQ(expand_matrix(spec)[1].label(),
+            "nytimes/http11/single/fifo/reno/solo");
+}
+
+TEST(SpecParse, StackTokenErrorsAreTyped) {
+  expect_spec_error("name s\nshell a origins=mirror\n", 2, "origins");
+  expect_spec_error("name s\nshell a host=machine3\n", 2, "machine3");
+  expect_spec_error("name s\nshell a pool=3\n", 2, "INITIALxSPAWN");
+  expect_spec_error("name s\nshell a pool=x27ms\n", 2, "integer");
+  expect_spec_error("name s\nshell a pool=0x27ms\n", 2, "pool");
+  expect_spec_error("name s\nshell a requests=0\n", 2, "requests");
+  expect_spec_error("name s\nshell a origins=single origins=multi\n", 2,
+                    "duplicate origins=");
+  expect_spec_error("name s\nshell a host=machine1 host=machine2\n", 2,
+                    "duplicate host=");
+  expect_spec_error("name s\nshell a think=1ms think=2ms\n", 2,
+                    "duplicate think=");
+  expect_spec_error("name s\nshell a warp=9\n", 2, "unknown shell token");
+  // The live web has no replay farm, host profile, mux or injectors.
+  EXPECT_THROW(parse_spec("shell web origins=live host=machine1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("shell web origins=live pool=3x27ms\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("protocol mux\nshell web origins=live\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("fleet 4\nshell web origins=live\n"),
+               std::invalid_argument);
+}
+
+TEST(SpecParse, ClaimsParse) {
+  const ExperimentSpec spec = parse_spec(
+      "site alexa:20\nloads 20\n"
+      "shell replay\nshell delay0 delay=0ms\n"
+      "claim overhead median delay0 vs replay <= 0.5\n"
+      "claim spread cv replay\n"
+      "claim paired paired-p95 delay0 vs replay within 2\n");
+  ASSERT_EQ(spec.claims.size(), 3u);
+  EXPECT_EQ(spec.claims[0].name, "overhead");
+  EXPECT_EQ(spec.claims[0].stat, Claim::Stat::kMedian);
+  EXPECT_EQ(spec.claims[0].cell, "delay0");
+  EXPECT_EQ(spec.claims[0].vs, "replay");
+  EXPECT_EQ(spec.claims[0].bound, Claim::Bound::kAtMost);
+  EXPECT_DOUBLE_EQ(spec.claims[0].limit, 0.5);
+  EXPECT_EQ(spec.claims[0].text(), "median delay0 vs replay <= 0.5");
+  EXPECT_EQ(spec.claims[1].bound, Claim::Bound::kNone);
+  EXPECT_EQ(spec.claims[1].text(), "cv replay");
+  EXPECT_EQ(spec.claims[2].bound, Claim::Bound::kWithin);
+  EXPECT_TRUE(spec.claims[2].paired());
+}
+
+TEST(SpecParse, ClaimErrorsAreTypedAndNameTheLine) {
+  const std::string axes =
+      "site nytimes\nsite wikihow\nshell a delay=1ms\nshell b delay=2ms\n";
+  // Selectors must match exactly one cell.
+  expect_spec_error(axes + "claim x median zz\n", 5, "matches no cell");
+  expect_spec_error(axes + "claim x median a\n", 5, "matches several cells");
+  expect_spec_error(axes + "claim x median nytimes/a vs b\n", 5,
+                    "matches several cells");
+  EXPECT_NO_THROW(parse_spec(axes + "claim x median nytimes/a vs nytimes/b\n"));
+  // Paired statistics need aligned loads: one site (or corpus) per claim.
+  expect_spec_error(axes + "claim x paired-p50 nytimes/a vs wikihow/a\n", 5,
+                    "aligned loads");
+  expect_spec_error(axes + "claim x paired-p50 nytimes/a\n", 5, "vs <cell>");
+  // Malformed lines.
+  expect_spec_error(axes + "claim x p99 nytimes/a\n", 5, "statistic 'p99'");
+  expect_spec_error(axes + "claim x median nytimes/a < 3\n", 5,
+                    "claim expects");
+  expect_spec_error(axes + "claim x median nytimes/a <=\n", 5,
+                    "claim expects");
+  expect_spec_error(axes + "claim x median nytimes/a <= lots\n", 5,
+                    "expected a number");
+  expect_spec_error(axes + "claim x median\n", 5, "claim expects");
+}
+
 TEST(Matrix, ExpansionOrderAndCount) {
   const ExperimentSpec spec = parse_spec(kFullSpec);
   const std::vector<Cell> cells = expand_matrix(spec);

@@ -70,36 +70,6 @@ TEST(OriginServerSet, CcFleetAssignsControllersBySpawnOrder) {
   EXPECT_EQ(servers.server_controllers()[2], "bbr");
 }
 
-TEST(OriginServerSet, CcByOriginPinsAHostnamesServers) {
-  net::EventLoop loop;
-  net::Fabric fabric{loop};
-  const auto store = three_origin_store();
-  OriginServerSet::Options options;
-  options.tcp.congestion_control = "cubic";
-  options.cc_by_origin["cdn.site.test"] = "vegas";
-  OriginServerSet servers{fabric, store, options};
-  ASSERT_EQ(servers.server_controllers().size(), 3u);
-  // Both of cdn.site.test's (ip,port) servers run vegas; www stays cubic.
-  int vegas = 0;
-  int cubic = 0;
-  for (const auto& name : servers.server_controllers()) {
-    vegas += name == "vegas" ? 1 : 0;
-    cubic += name == "cubic" ? 1 : 0;
-  }
-  EXPECT_EQ(vegas, 2);
-  EXPECT_EQ(cubic, 1);
-}
-
-TEST(OriginServerSet, CcByOriginRejectsUnknownHostname) {
-  net::EventLoop loop;
-  net::Fabric fabric{loop};
-  const auto store = three_origin_store();
-  OriginServerSet::Options options;
-  options.cc_by_origin["cdn.site.tset"] = "bbr";  // typo must not be a no-op
-  EXPECT_THROW((OriginServerSet{fabric, store, options}),
-               std::invalid_argument);
-}
-
 TEST(OriginServerSet, ServersAnswerWithRecordedBytes) {
   net::EventLoop loop;
   net::Fabric fabric{loop};

@@ -67,9 +67,16 @@
 // drain (their results still reach the journal), and the report is written
 // partial with "interrupted": true and per-cell completion counts.
 //
-// Exit status: 0 ok, 1 runtime/selfcheck failure, 2 usage/spec error,
-// 130 interrupted (resume with --journal ... --resume).
+// Claims: a spec's `claim` lines are evaluated over the finished report,
+// printed after the cell summary and written under "claims" in the report
+// JSON. A failed bounded claim makes the exit status 1 (after every
+// artifact is written); a claim whose cells are outside --shard is
+// reported skipped.
+//
+// Exit status: 0 ok, 1 runtime/selfcheck/claim failure, 2 usage/spec
+// error, 130 interrupted (resume with --journal ... --resume).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -163,6 +170,23 @@ void print_summary(const Report& report) {
                     static_cast<unsigned long long>(flow.retransmissions));
       }
     }
+  }
+}
+
+/// One line per spec claim: its text, value and verdict.
+void print_claims(const Report& report) {
+  if (report.claims.empty()) {
+    return;
+  }
+  std::printf("claims:\n");
+  for (const ClaimResult& claim : report.claims) {
+    std::printf("  %-22s %-46s", claim.name.c_str(), claim.text.c_str());
+    if (claim.status == ClaimResult::Status::kSkipped) {
+      std::printf(" %11s  skipped (cell outside this shard)\n", "-");
+      continue;
+    }
+    std::printf(claim.percent ? " %10.2f%%" : " %8.1f ms", claim.value);
+    std::printf("  %s\n", claim.status_name());
   }
 }
 
@@ -334,6 +358,7 @@ int main(int argc, char** argv) {
                 report.shard_index, report.shard_count,
                 report.loads_per_cell);
     print_summary(report);
+    print_claims(report);
 
     // Reports are written before the selfcheck verdict decides the exit
     // status: when the selfcheck fails, the (divergent) report files are
@@ -439,6 +464,16 @@ int main(int argc, char** argv) {
                      failed);
         return 1;
       }
+    }
+    // Paper claims gate like --fail-on-error: after every artifact.
+    const auto failed_claims = std::count_if(
+        report.claims.begin(), report.claims.end(), [](const ClaimResult& c) {
+          return c.status == ClaimResult::Status::kFail;
+        });
+    if (failed_claims > 0) {
+      std::fprintf(stderr, "[experiment] %td claim(s) failed\n",
+                   failed_claims);
+      return 1;
     }
     return wrote ? 0 : 1;
   } catch (const std::invalid_argument& e) {
