@@ -46,6 +46,37 @@ net::MultiBulkFlowReport get_probe(journal::Cursor& in) {
   return probe;
 }
 
+// Encoded bytes of each record part beyond its strings' contents (every
+// string costs its u32 length prefix here plus its bytes), so an encoder
+// can reserve the whole record before writing it.
+constexpr std::size_t kSessionBytes = 8 + 1 + 8 + 4 + 4 + 4;
+constexpr std::size_t kFlowBytes = 4 + 8 + 8 + 8 + 8 + 8 + 8;
+constexpr std::size_t kEventBytes = 8 + 1 + 1 + 8 + 8 + 8 + 8 + 4;
+constexpr std::size_t kObjectBytes = 4 + 4 + 8 * 8 + 8 + 4 + 4 + 1 + 4;
+constexpr std::size_t kPageBytes = 8 + 4 + 8 + 8 + 8 + 1;
+
+std::size_t probe_size(const net::MultiBulkFlowReport& probe) {
+  std::size_t size = 8 + 8 + 4;
+  for (const auto& flow : probe.flows) {
+    size += kFlowBytes + flow.controller.size();
+  }
+  return size;
+}
+
+std::size_t trace_size(const obs::TraceBuffer& trace) {
+  std::size_t size = 4 + 4 + 4;
+  for (const obs::TraceEvent& e : trace.events) {
+    size += kEventBytes + e.label.size();
+  }
+  for (const obs::ObjectRecord& o : trace.objects) {
+    size += kObjectBytes + o.url.size() + o.kind.size() + o.error.size();
+  }
+  for (const obs::PageRecord& p : trace.pages) {
+    size += kPageBytes + p.url.size();
+  }
+  return size;
+}
+
 // The full TraceBuffer round-trips so a resumed --trace-dir run exports
 // byte-identical artifacts without rerunning the simulation.
 void put_trace(std::string& out, const obs::TraceBuffer& trace) {
@@ -150,7 +181,9 @@ std::string TaskKey::label() const {
 
 std::string encode_task_record(const TaskKey& key, const TaskResult& result) {
   std::string out;
-  out.reserve(128);
+  out.reserve(8 + 8 + 1 + 4 + result.error.size() + 4 +
+              kSessionBytes * result.plts.size() + probe_size(result.probe) +
+              trace_size(result.trace));
   journal::put_i64(out, key.cell_index);
   journal::put_i64(out, key.load_index);
   journal::put_u8(out, key.probe ? 1 : 0);

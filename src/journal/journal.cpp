@@ -1,9 +1,11 @@
 #include "journal/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -20,16 +22,27 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x314A4D4DU;  // "MMJ1" little-endian
 constexpr std::size_t kFrameHeader = 12;            // magic + len + crc
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: table[0] is the classic bytewise table; table[k]
+// advances a byte's contribution through k further zero bytes, so eight
+// lookups fold one 64-bit word into the CRC.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t value = i;
     for (int bit = 0; bit < 8; ++bit) {
       value = (value >> 1) ^ ((value & 1U) != 0 ? 0xEDB88320U : 0U);
     }
-    table[i] = value;
+    tables[0][i] = value;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < tables.size(); ++k) {
+      const std::uint32_t previous = tables[k - 1][i];
+      tables[k][i] = (previous >> 8) ^ tables[0][previous & 0xFFU];
+    }
+  }
+  return tables;
 }
 
 std::uint32_t read_le_u32(const char* bytes) {
@@ -42,10 +55,24 @@ std::uint32_t read_le_u32(const char* bytes) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables tables = make_crc_tables();
+  const auto& table = tables[0];
   std::uint32_t crc = 0xFFFFFFFFU;
-  for (const char c : bytes) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(c)) & 0xFFU];
+  const char* data = bytes.data();
+  std::size_t size = bytes.size();
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; size >= 8; data += 8, size -= 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, data, sizeof word);
+      word ^= crc;
+      crc = tables[7][word & 0xFFU] ^ tables[6][(word >> 8) & 0xFFU] ^
+            tables[5][(word >> 16) & 0xFFU] ^ tables[4][(word >> 24) & 0xFFU] ^
+            tables[3][(word >> 32) & 0xFFU] ^ tables[2][(word >> 40) & 0xFFU] ^
+            tables[1][(word >> 48) & 0xFFU] ^ tables[0][word >> 56];
+    }
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(*data)) & 0xFFU];
   }
   return crc ^ 0xFFFFFFFFU;
 }
@@ -201,18 +228,22 @@ Writer::~Writer() {
 }
 
 bool Writer::append(std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  put_u32(frame, kFrameMagic);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  frame.append(payload);
+  std::string header;  // kFrameHeader bytes: fits the small-string buffer
+  put_u32(header, kFrameMagic);
+  put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  put_u32(header, crc32(payload));
 
+  // Header and payload go out in one gathered write, so the payload is
+  // never copied into a frame buffer. A partial write advances through
+  // the iovecs and retries the rest.
+  std::array<iovec, 2> parts{
+      iovec{header.data(), header.size()},
+      iovec{const_cast<char*>(payload.data()), payload.size()}};
+  iovec* part = parts.data();
+  int count = static_cast<int>(parts.size());
   const std::lock_guard<std::mutex> lock{mutex_};
-  const char* data = frame.data();
-  std::size_t remaining = frame.size();
-  while (remaining > 0) {
-    const ssize_t wrote = ::write(fd_, data, remaining);
+  while (count > 0) {
+    const ssize_t wrote = ::writev(fd_, part, count);
     if (wrote < 0) {
       if (errno == EINTR) {
         continue;
@@ -221,8 +252,16 @@ bool Writer::append(std::string_view payload) {
                    path_.c_str(), std::strerror(errno));
       return false;
     }
-    data += wrote;
-    remaining -= static_cast<std::size_t>(wrote);
+    auto left = static_cast<std::size_t>(wrote);
+    while (count > 0 && left >= part->iov_len) {
+      left -= part->iov_len;
+      ++part;
+      --count;
+    }
+    if (count > 0) {
+      part->iov_base = static_cast<char*>(part->iov_base) + left;
+      part->iov_len -= left;
+    }
   }
   // One fsync per record: a SIGKILL after this point cannot lose the
   // record; one during the write above loses only this record, and the
@@ -264,16 +303,22 @@ void put_u8(std::string& out, std::uint8_t value) {
   out.push_back(static_cast<char>(value));
 }
 
+// The little-endian bytes are built in a local word and appended in one
+// call; compilers lower the shifts to a single store on little-endian hosts.
 void put_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFFU));
-  }
+  const char bytes[4] = {
+      static_cast<char>(value), static_cast<char>(value >> 8),
+      static_cast<char>(value >> 16), static_cast<char>(value >> 24)};
+  out.append(bytes, sizeof bytes);
 }
 
 void put_u64(std::string& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFFU));
-  }
+  const char bytes[8] = {
+      static_cast<char>(value),       static_cast<char>(value >> 8),
+      static_cast<char>(value >> 16), static_cast<char>(value >> 24),
+      static_cast<char>(value >> 32), static_cast<char>(value >> 40),
+      static_cast<char>(value >> 48), static_cast<char>(value >> 56)};
+  out.append(bytes, sizeof bytes);
 }
 
 void put_i64(std::string& out, std::int64_t value) {

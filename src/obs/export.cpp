@@ -154,7 +154,7 @@ std::string to_chrome_trace(const TraceMeta& meta,
     // ordered map keeps metadata order deterministic.
     std::map<std::int64_t, std::pair<std::int32_t, Layer>> lanes;
     const auto use_lane = [&](std::int32_t session, Layer layer) {
-      lanes.emplace(lane(session, layer), std::pair{session, layer});
+      lanes.try_emplace(lane(session, layer), session, layer);
     };
     for (const TraceEvent& event : load.buffer.events) {
       use_lane(event.session, event.layer);
@@ -275,21 +275,21 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   return out;
 }
 
-std::string csv_field(std::string_view text) {
-  std::string field{text};
-  for (char& c : field) {
-    if (c == ',' || c == '\n' || c == '\r') {
-      c = ';';
+void append_csv_field(std::string& out, std::string_view text) {
+  const std::size_t start = out.size();
+  out += text;
+  for (std::size_t i = start; i < out.size(); ++i) {
+    if (out[i] == ',' || out[i] == '\n' || out[i] == '\r') {
+      out[i] = ';';
     }
   }
-  return field;
 }
 
 std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  append(out, "# mahimahi-obs-trace-v1 experiment=", csv_field(meta.experiment),
-         " cell=", meta.cell_index, " label=", csv_field(meta.cell_label),
+  append(out, "# mahimahi-obs-trace-v1 experiment=", CsvField{meta.experiment},
+         " cell=", meta.cell_index, " label=", CsvField{meta.cell_label},
          " seed=", meta.cell_seed, "\n");
   out += "load,session,t_us,layer,kind,flow,value,metric,label,detail\n";
   for (const LoadTrace& load : loads) {
@@ -297,25 +297,25 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
     for (const TraceEvent& e : load.buffer.events) {
       append(out, index, ",", e.session, ",", e.at, ",", to_string(e.layer),
              ",", to_string(e.kind), ",", e.flow, ",", e.value, ",",
-             Fixed{e.metric, 6}, ",", csv_field(e.label), ",\n");
+             Fixed{e.metric, 6}, ",", CsvField{e.label}, ",\n");
     }
     for (const ObjectRecord& o : load.buffer.objects) {
       const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
       const Microseconds end = o.complete >= 0 ? o.complete : start;
       append(out, index, ",", o.session, ",", start, ",browser,object,0,",
              o.bytes, ",", Fixed{to_ms(end - start), 6}, ",",
-             csv_field(o.url), ",kind=", csv_field(o.kind), ";status=",
+             CsvField{o.url}, ",kind=", CsvField{o.kind}, ";status=",
              o.status, ";attempts=", o.attempts,
              ";failed=", o.failed ? "1" : "0", ";dns_start_us=", o.dns_start,
              ";dns_done_us=", o.dns_done, ";connect_us=", o.connect_done,
              ";request_us=", o.request_sent, ";first_byte_us=", o.first_byte,
-             ";complete_us=", o.complete, ";error=", csv_field(o.error),
+             ";complete_us=", o.complete, ";error=", CsvField{o.error},
              "\n");
     }
     for (const PageRecord& p : load.buffer.pages) {
       append(out, index, ",", p.session, ",", p.started_at,
              ",browser,page,0,", p.success ? "1" : "0", ",",
-             Fixed{to_ms(p.plt), 6}, ",", csv_field(p.url), ",degraded_ms=",
+             Fixed{to_ms(p.plt), 6}, ",", CsvField{p.url}, ",degraded_ms=",
              Fixed{to_ms(p.degraded_plt), 3}, "\n");
     }
   }

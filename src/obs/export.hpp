@@ -44,8 +44,16 @@ struct TraceMeta {
 [[nodiscard]] std::string to_csv(const TraceMeta& meta,
                                  const std::vector<LoadTrace>& loads);
 
-/// `text` as one cell of the trace and metrics CSVs: the bytes those
+/// Append `text` as one cell of the trace and metrics CSVs: the bytes those
 /// formats reserve (',', '\n', '\r') become ';'.
-[[nodiscard]] std::string csv_field(std::string_view text);
+void append_csv_field(std::string& out, std::string_view text);
+
+/// util::append() piece written through append_csv_field.
+struct CsvField {
+  std::string_view text;
+};
+inline void append_piece(std::string& out, CsvField piece) {
+  append_csv_field(out, piece.text);
+}
 
 }  // namespace mahimahi::obs

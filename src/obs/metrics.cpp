@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
+#include <array>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "util/json.hpp"
@@ -175,13 +177,13 @@ std::string MetricsSnapshot::to_json() const {
 std::string MetricsSnapshot::to_csv() const {
   std::string out = "name,type,count,sum,min,max,p50,p90,p99,value\n";
   for (const auto& [name, value] : counters) {
-    append(out, csv_field(name), ",counter,,,,,,,,", value, "\n");
+    append(out, CsvField{name}, ",counter,,,,,,,,", value, "\n");
   }
   for (const auto& [name, value] : gauges) {
-    append(out, csv_field(name), ",gauge,,,,,,,,", Fixed{value}, "\n");
+    append(out, CsvField{name}, ",gauge,,,,,,,,", Fixed{value}, "\n");
   }
   for (const auto& [name, h] : histograms) {
-    append(out, csv_field(name), ",histogram,", h.count, ",", Fixed{h.sum},
+    append(out, CsvField{name}, ",histogram,", h.count, ",", Fixed{h.sum},
            ",", Fixed{h.min}, ",", Fixed{h.max}, ",", Fixed{h.p50}, ",",
            Fixed{h.p90}, ",", Fixed{h.p99}, ",\n");
   }
@@ -201,6 +203,10 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
 
 void MetricsRegistry::observe(const std::string& name, double value) {
   histograms_[name].observe(value);
+}
+
+Histogram& MetricsRegistry::histogram(const std::string& name) {
+  return histograms_[name];
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -264,8 +270,48 @@ PhaseBreakdown object_phases(const ObjectRecord& o) {
 }  // namespace
 
 void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
-  // Matching state, all local: one buffer is one simulation.
-  std::map<std::pair<std::string, std::uint64_t>, Microseconds> in_queue;
+  // Each histogram is looked up once per call, at its first observation,
+  // so a trace that never observes a name adds no empty histogram.
+  struct NamedHistogram {
+    MetricsRegistry& registry;
+    const char* name;
+    Histogram* histogram{nullptr};
+
+    void observe(double value) {
+      if (histogram == nullptr) {
+        histogram = &registry.histogram(name);
+      }
+      histogram->observe(value);
+    }
+  };
+  NamedHistogram depth{registry, "queue.depth_pkts"};
+  NamedHistogram residence{registry, "queue.residence_us"};
+  NamedHistogram burst_runs{registry, "tcp.retransmit_burst"};
+  NamedHistogram convergence{registry, "tcp.cwnd_convergence_us"};
+  NamedHistogram recovery{registry, "fault.recovery_us"};
+  NamedHistogram phase_dns{registry, "plt.phase.dns_us"};
+  NamedHistogram phase_connect{registry, "plt.phase.connect_us"};
+  NamedHistogram phase_request{registry, "plt.phase.request_us"};
+  NamedHistogram phase_first_byte{registry, "plt.phase.first_byte_us"};
+  NamedHistogram phase_receive{registry, "plt.phase.receive_us"};
+  NamedHistogram page_plt{registry, "page.plt_us"};
+
+  // events.<layer>.<kind> counts, named once at the end. A layer or kind
+  // outside the enums (a foreign decoded buffer) counts under its
+  // to_string name ("unknown") directly.
+  constexpr std::size_t kLayers = static_cast<std::size_t>(Layer::kRunner) + 1;
+  constexpr std::size_t kKinds =
+      static_cast<std::size_t>(EventKind::kTaskRetry) + 1;
+  std::array<std::array<std::int64_t, kKinds>, kLayers> event_counts{};
+  const auto event_counter = [](Layer layer, EventKind kind) {
+    std::string counter = "events.";
+    append(counter, to_string(layer), ".", to_string(kind));
+    return counter;
+  };
+
+  // Matching state, all local: one buffer is one simulation. Queue keys
+  // view the labels of `trace`, which outlives the call.
+  std::map<std::pair<std::string_view, std::uint64_t>, Microseconds> in_queue;
   struct FlowCwnd {
     std::vector<std::pair<Microseconds, double>> samples;
   };
@@ -278,22 +324,25 @@ void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
   constexpr Microseconds kBurstGap = 100'000;
 
   for (const TraceEvent& e : trace.events) {
-    std::string counter = "events.";
-    append(counter, to_string(e.layer), ".", to_string(e.kind));
-    registry.add_counter(counter);
+    const auto layer = static_cast<std::size_t>(e.layer);
+    const auto kind = static_cast<std::size_t>(e.kind);
+    if (layer < kLayers && kind < kKinds) {
+      ++event_counts[layer][kind];
+    } else {
+      registry.add_counter(event_counter(e.layer, e.kind));
+    }
     switch (e.kind) {
       case EventKind::kEnqueue:
         if (e.flow != 0) {
           in_queue[{e.label, e.flow}] = e.at;
         }
-        registry.observe("queue.depth_pkts", static_cast<double>(e.value));
+        depth.observe(static_cast<double>(e.value));
         break;
       case EventKind::kDequeue:
         if (e.flow != 0) {
           const auto it = in_queue.find({e.label, e.flow});
           if (it != in_queue.end()) {
-            registry.observe("queue.residence_us",
-                             static_cast<double>(e.at - it->second));
+            residence.observe(static_cast<double>(e.at - it->second));
             in_queue.erase(it);
           }
         }
@@ -309,8 +358,7 @@ void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
       case EventKind::kTcpRetransmit: {
         FlowBurst& burst = bursts[e.flow];
         if (burst.run > 0 && e.at - burst.last_at > kBurstGap) {
-          registry.observe("tcp.retransmit_burst",
-                           static_cast<double>(burst.run));
+          burst_runs.observe(static_cast<double>(burst.run));
           burst.run = 0;
         }
         burst.last_at = e.at;
@@ -321,10 +369,18 @@ void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
         break;
     }
   }
+  for (std::size_t layer = 0; layer < kLayers; ++layer) {
+    for (std::size_t kind = 0; kind < kKinds; ++kind) {
+      if (event_counts[layer][kind] > 0) {
+        registry.add_counter(event_counter(static_cast<Layer>(layer),
+                                           static_cast<EventKind>(kind)),
+                             event_counts[layer][kind]);
+      }
+    }
+  }
   for (const auto& [flow, burst] : bursts) {
     if (burst.run > 0) {
-      registry.observe("tcp.retransmit_burst",
-                       static_cast<double>(burst.run));
+      burst_runs.observe(static_cast<double>(burst.run));
     }
   }
   // Convergence: the earliest sample after which cwnd never leaves the
@@ -346,41 +402,53 @@ void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
       }
     }
     if (converged < samples.size()) {
-      registry.observe("tcp.cwnd_convergence_us",
-                       static_cast<double>(samples[converged].first -
-                                           samples.front().first));
+      convergence.observe(static_cast<double>(samples[converged].first -
+                                              samples.front().first));
     }
   }
 
+  std::int64_t objects_failed = 0;
+  std::int64_t objects_retried = 0;
   for (const ObjectRecord& o : trace.objects) {
-    registry.add_counter("objects.count");
     if (o.failed) {
-      registry.add_counter("objects.failed");
+      ++objects_failed;
     }
     if (o.attempts > 1) {
-      registry.add_counter("objects.retried");
+      ++objects_retried;
       if (!o.failed && o.complete >= 0 && o.fetch_start >= 0) {
-        registry.observe("fault.recovery_us",
-                         static_cast<double>(o.complete - o.fetch_start));
+        recovery.observe(static_cast<double>(o.complete - o.fetch_start));
       }
     }
     if (o.fetch_start < 0 || o.complete < 0) {
       continue;
     }
     const PhaseBreakdown phases = object_phases(o);
-    registry.observe("plt.phase.dns_us", phases.dns);
-    registry.observe("plt.phase.connect_us", phases.connect);
-    registry.observe("plt.phase.request_us", phases.request);
-    registry.observe("plt.phase.first_byte_us", phases.first_byte);
-    registry.observe("plt.phase.receive_us", phases.receive);
+    phase_dns.observe(phases.dns);
+    phase_connect.observe(phases.connect);
+    phase_request.observe(phases.request);
+    phase_first_byte.observe(phases.first_byte);
+    phase_receive.observe(phases.receive);
   }
 
+  std::int64_t pages_failed = 0;
   for (const PageRecord& p : trace.pages) {
-    registry.add_counter("pages.count");
     if (!p.success) {
-      registry.add_counter("pages.failed");
+      ++pages_failed;
     }
-    registry.observe("page.plt_us", static_cast<double>(p.plt));
+    page_plt.observe(static_cast<double>(p.plt));
+  }
+
+  // Outcome counters exist once their first instance was seen.
+  const std::pair<const char*, std::int64_t> outcomes[] = {
+      {"objects.count", static_cast<std::int64_t>(trace.objects.size())},
+      {"objects.failed", objects_failed},
+      {"objects.retried", objects_retried},
+      {"pages.count", static_cast<std::int64_t>(trace.pages.size())},
+      {"pages.failed", pages_failed}};
+  for (const auto& [name, count] : outcomes) {
+    if (count > 0) {
+      registry.add_counter(name, count);
+    }
   }
 }
 

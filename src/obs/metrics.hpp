@@ -86,6 +86,10 @@ class MetricsRegistry {
   void add_counter(const std::string& name, std::int64_t delta = 1);
   void set_gauge(const std::string& name, double value);
   void observe(const std::string& name, double value);
+  /// The histogram named `name`, created empty on first use. The
+  /// reference stays valid for the registry's lifetime, so a hot loop can
+  /// look a name up once and observe through it.
+  [[nodiscard]] Histogram& histogram(const std::string& name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 

@@ -10,7 +10,15 @@
 namespace mahimahi::util {
 
 void json_escape(std::string& out, std::string_view text) {
-  for (const char c : text) {
+  // Bytes that pass through unchanged are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -27,23 +35,31 @@ void json_escape(std::string& out, std::string_view text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                      static_cast<unsigned>(c));
+        out += buffer;
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
 }
 
 void append_fixed(std::string& out, double value, int precision) {
   // DBL_MAX prints 309 integer digits: 400 bytes hold any precision the
-  // writers use (and snprintf truncates rather than overruns past it).
+  // writers use. to_chars in fixed format with a precision is specified as
+  // printf "%.*f" in the C locale, at a fraction of snprintf's cost. It
+  // gets the 399 bytes snprintf could fill; text longer than that goes to
+  // snprintf, which truncates it exactly as before.
   char buffer[400];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer) - 1,
+                                    value, std::chars_format::fixed,
+                                    precision);
+  if (result.ec == std::errc{}) {
+    out.append(buffer, result.ptr);
+    return;
+  }
   const int length =
       std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
   out.append(buffer, std::min(static_cast<std::size_t>(length),

@@ -126,6 +126,95 @@ TEST(ExperimentResume, TaskRecordsRoundTripThroughTheCodec) {
   EXPECT_FALSE(decode_task_record(payload + "x").has_value());
 }
 
+/// A task result touching every field the codec writes: two sessions, two
+/// probe flows, and a trace with events (one with an empty label, one with
+/// a comma in it), a completed and a failed object, and a page.
+TaskResult full_result() {
+  TaskResult result;
+  result.plts = {1534.25, 2210.5};
+  result.oks = {1, 0};
+  result.degraded = {1490.0, 2100.125};
+  result.failed_objects = {0, 3};
+  result.retries = {2, 0};
+  result.timeouts = {0, 1};
+  result.error = "watchdog: cell deadline 30000 ms";
+  result.probe.jain_index = 0.9921875;
+  result.probe.bottleneck.delay_p95_ms = 87.375;
+  net::MultiBulkFlowReport::Flow flow;
+  flow.controller = "bbr";
+  flow.bytes_delivered = 9'876'543;
+  flow.throughput_bps = 1.2e7;
+  flow.share = 0.25;
+  flow.final_srtt = 41'250;
+  flow.final_cwnd_bytes = 65'160.5;
+  flow.retransmissions = 17;
+  result.probe.flows = {flow, flow};
+  result.probe.flows[1].controller = "cubic";
+  result.trace.events = {
+      {1'000, obs::Layer::kLink, obs::EventKind::kEnqueue, -1, 4, 12,
+       18'000.0, "shell0/down"},
+      {2'500, obs::Layer::kTcp, obs::EventKind::kTcpCwndSample, 0, 4, 0,
+       14'600.0, ""},
+      {3'125, obs::Layer::kDns, obs::EventKind::kDnsQuery, 1, 0, 0, -0.5,
+       "a,b.example"}};
+  obs::ObjectRecord done;
+  done.url = "http://10.200.0.1/index.html";
+  done.kind = "html";
+  done.session = 0;
+  done.fetch_start = 10;
+  done.dns_start = 11;
+  done.dns_done = 250;
+  done.connect_done = 900;
+  done.request_sent = 905;
+  done.first_byte = 1'700;
+  done.complete = 2'400;
+  done.bytes = 48'213;
+  done.status = 200;
+  done.attempts = 2;
+  obs::ObjectRecord failed;
+  failed.url = "http://10.200.0.2/app.js";
+  failed.session = 1;
+  failed.fetch_start = 300;
+  failed.failed = true;
+  failed.attempts = 3;
+  failed.error = "reset, then timeout";
+  result.trace.objects = {done, failed};
+  result.trace.pages = {
+      obs::PageRecord{0, "http://10.200.0.1/", 0, 1'534'250, 1'490'000, true}};
+  return result;
+}
+
+TEST(ExperimentResume, TaskRecordBytesArePinned) {
+  // The journal's on-disk format: a change to these bytes would silently
+  // refuse (or misread) every journal an older build of the same toolchain
+  // wrote, so the encoding is pinned by length and checksum.
+  const TaskKey key{7, 3, false};
+  const TaskResult result = full_result();
+  const std::string payload = encode_task_record(key, result);
+  EXPECT_EQ(payload.size(), 735u);
+  EXPECT_EQ(journal::crc32(payload), 0xB6441F86U);
+
+  // decode(encode(x)) == x: every encoded field survives, so re-encoding
+  // the decoded record reproduces the bytes exactly.
+  const auto decoded = decode_task_record(payload);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->first.cell_index, 7);
+  EXPECT_EQ(decoded->first.load_index, 3);
+  EXPECT_EQ(encode_task_record(decoded->first, decoded->second), payload);
+  const obs::TraceBuffer& trace = decoded->second.trace;
+  ASSERT_EQ(trace.events.size(), 3u);
+  EXPECT_EQ(trace.events[1].label, "");
+  EXPECT_EQ(trace.events[2].label, "a,b.example");
+  EXPECT_EQ(trace.events[2].metric, -0.5);
+  ASSERT_EQ(trace.objects.size(), 2u);
+  EXPECT_EQ(trace.objects[1].error, "reset, then timeout");
+  EXPECT_TRUE(trace.objects[1].failed);
+  ASSERT_EQ(trace.pages.size(), 1u);
+  EXPECT_EQ(trace.pages[0].degraded_plt, 1'490'000);
+  EXPECT_EQ(decoded->second.probe.flows[1].controller, "cubic");
+  EXPECT_EQ(decoded->second.error, result.error);
+}
+
 /// The kill-and-resume core: journal a *partial* run (shard 0/2 stands in
 /// for "the process died halfway" — journal keys are global indices, so a
 /// sharded journal is exactly a partial unsharded one), then resume the

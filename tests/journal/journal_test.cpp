@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -34,6 +35,44 @@ TEST(Journal, Crc32MatchesKnownVector) {
   // The IEEE check value: crc32("123456789") == 0xCBF43926.
   EXPECT_EQ(crc32("123456789"), 0xCBF43926U);
   EXPECT_EQ(crc32(""), 0x00000000U);
+}
+
+// The definition crc32 must reproduce: the bytewise reflected IEEE loop.
+std::uint32_t bytewise_crc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (const char c : bytes) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1U) != 0 ? 0xEDB88320U : 0U);
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+std::string seeded_bytes(std::size_t size, std::uint64_t seed) {
+  std::string bytes(size, '\0');
+  std::uint64_t state = seed;
+  for (char& c : bytes) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>(state >> 56);
+  }
+  return bytes;
+}
+
+TEST(Journal, Crc32MatchesBytewiseReferenceOnEverySlice) {
+  // Every alignment (offset 0-7) against every length up to 64 walks the
+  // word loop's head, body and tail through all their combinations.
+  const std::string buffer = seeded_bytes(72, 0x5EED);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view slice =
+          std::string_view{buffer}.substr(offset, length);
+      ASSERT_EQ(crc32(slice), bytewise_crc32(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  const std::string large = seeded_bytes((1U << 20) + 13, 0xB16);
+  EXPECT_EQ(crc32(large), bytewise_crc32(large));
 }
 
 TEST(Journal, RecordsRoundTripThroughTheFile) {
@@ -168,6 +207,11 @@ TEST(Journal, CodecRoundTripsEveryPrimitive) {
   put_double(out, -0.0);
   put_string(out, "hello\0world");  // literal truncates at NUL — fine
   put_string(out, "");
+
+  // The wire layout is little-endian whatever the host order.
+  EXPECT_EQ(out.substr(0, 13),
+            std::string("\xAB\xEF\xBE\xAD\xDE\xEF\xCD\xAB\x89\x67\x45\x23\x01",
+                        13));
 
   Cursor in{out};
   EXPECT_EQ(in.get_u8(), 0xAB);

@@ -209,6 +209,38 @@ TEST(DeriveMetrics, CatalogCoversQueueTcpPltAndFaults) {
   EXPECT_DOUBLE_EQ(recovery.sum, 9'000.0);
 }
 
+TEST(DeriveMetrics, CountersAndHistogramsExistOnlyForWhatOccurred) {
+  const MetricsSnapshot snap = derive_cell_metrics(waterfall_loads());
+  // Every counter is a sum over the loads; kinds that never occurred (and
+  // failures that never happened) get no entry, zero-valued or otherwise.
+  EXPECT_EQ(snap.counters.at("events.tcp.retransmit"), 3);
+  EXPECT_EQ(snap.counters.at("events.tcp.cwnd"), 3);
+  EXPECT_EQ(snap.counters.count("events.tcp.rto"), 0u);
+  EXPECT_EQ(snap.counters.count("objects.failed"), 0u);
+  EXPECT_EQ(snap.counters.count("pages.failed"), 0u);
+  EXPECT_EQ(snap.histograms.count("queue.depth_pkts"), 1u);
+  // A single queue event observes depth but nothing was dequeued, so no
+  // residence histogram appears.
+  Tracer tracer;
+  tracer.event(5, Layer::kLink, EventKind::kEnqueue, -1, 9, 3, 0.0, "up");
+  // A decoded buffer from a foreign build may carry a layer this build
+  // does not know: it counts under its to_string name.
+  tracer.event(6, static_cast<Layer>(200), EventKind::kDrop, -1, 0, 0, 0.0,
+               "");
+  std::vector<LoadTrace> loads;
+  loads.push_back(LoadTrace{0, tracer.take()});
+  loads.push_back(waterfall_loads().front());
+  loads.back().load_index = 1;
+  const MetricsSnapshot mixed = derive_cell_metrics(loads);
+  EXPECT_EQ(mixed.counters.at("events.link.enqueue"), 2);
+  EXPECT_EQ(mixed.counters.at("events.unknown.drop"), 1);
+  EXPECT_EQ(mixed.histograms.at("queue.depth_pkts").count, 2u);
+  EXPECT_EQ(mixed.histograms.at("queue.residence_us").count, 1u);
+  EXPECT_EQ(derive_cell_metrics({loads.front()}).histograms.count(
+                "queue.residence_us"),
+            0u);
+}
+
 TEST(DeriveMetrics, CellDerivationIsAPureFunctionOfTheLoads) {
   EXPECT_EQ(derive_cell_metrics(waterfall_loads()).to_json(),
             derive_cell_metrics(waterfall_loads()).to_json());

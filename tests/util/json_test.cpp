@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "util/random.hpp"
 
 namespace mahimahi::util {
 namespace {
@@ -58,6 +64,95 @@ TEST(JsonFormat, FixedPrecisionAndIntegers) {
   out += " ";
   append_u64(out, std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(out, "-9223372036854775808 18446744073709551615");
+}
+
+// The printf definition append_fixed must reproduce byte for byte: the
+// text snprintf writes into the formatter's 400-byte buffer.
+std::string printf_fixed(double value, int precision) {
+  char buffer[400];
+  const int length =
+      std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
+  return {buffer, std::min(static_cast<std::size_t>(length),
+                           sizeof(buffer) - 1)};
+}
+
+constexpr int kPrecisions[] = {0, 1, 3, 4, 6};
+
+TEST(JsonFormat, FixedMatchesPrintfOnRandomBitPatterns) {
+  // Every bit pattern is a double (subnormals, nan payloads and infinities
+  // included). Every fourth draw also yields a rounded decimal, the kind of
+  // value artifacts mostly carry.
+  Rng rng{0xF1CED};
+  std::size_t mismatches = 0;
+  const auto check = [&](double value) {
+    for (const int precision : kPrecisions) {
+      const std::string expected = printf_fixed(value, precision);
+      const std::string actual = fmt(value, precision);
+      if (actual != expected && ++mismatches <= 5) {
+        ADD_FAILURE() << "precision " << precision << ": " << actual
+                      << " != " << expected;
+      }
+    }
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng.next();
+    double value = 0;
+    std::memcpy(&value, &bits, sizeof value);
+    check(value);
+    if (i % 4 == 0) {
+      check(static_cast<double>(static_cast<std::int64_t>(bits >> 20) %
+                                100'000'000) /
+            std::pow(10.0, static_cast<double>(bits % 9)));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonFormat, FixedMatchesPrintfOnEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double edges[] = {0.0,
+                          -0.0,
+                          0.5,
+                          1.5,
+                          2.5,
+                          -2.5,
+                          0.125,
+                          0.0625,
+                          1e-7,
+                          0.0005,
+                          0.00005,
+                          5e-324,
+                          -5e-324,
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest(),
+                          9007199254740993.0,
+                          1e22,
+                          kInf,
+                          -kInf,
+                          kNan,
+                          -kNan};
+  for (const double value : edges) {
+    for (const int precision : kPrecisions) {
+      EXPECT_EQ(fmt(value, precision), printf_fixed(value, precision))
+          << value << " at precision " << precision;
+    }
+  }
+  EXPECT_EQ(fmt(-0.0, 3), "-0.000");
+  EXPECT_EQ(fmt(kInf, 6), "inf");
+}
+
+TEST(JsonFormat, FixedTooLongForTheBufferTruncatesLikePrintf) {
+  // DBL_MAX at precision 89 fills exactly 399 bytes; from precision 90 on
+  // the text outgrows the buffer and the snprintf fallback truncates it.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  EXPECT_EQ(fmt(kMax, 89).size(), 399u);
+  for (const int precision : {90, 91, 200, 1074}) {
+    EXPECT_EQ(fmt(kMax, precision), printf_fixed(kMax, precision));
+    EXPECT_EQ(fmt(kMax, precision).size(), 399u);
+    EXPECT_EQ(fmt(-5e-324, precision), printf_fixed(-5e-324, precision));
+  }
 }
 
 TEST(JsonFormat, AppendConcatenatesPieces) {
