@@ -26,13 +26,6 @@ inline int env_int(const char* name, int fallback) {
   return parsed > 0 ? parsed : fallback;
 }
 
-/// The process-wide measurement pool every bench driver fans out on.
-/// Thread count: MAHI_THREADS env, else hardware concurrency. Results are
-/// merged in load-index order, so bench output does not depend on it.
-inline core::ParallelRunner& shared_runner() {
-  return core::ParallelRunner::shared();
-}
-
 /// Host wall-clock stopwatch for speedup reporting (NOT simulated time).
 class WallTimer {
  public:

@@ -1,7 +1,6 @@
 #include "cc/registry.hpp"
 
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "cc/bbr_lite.hpp"
@@ -12,28 +11,22 @@
 namespace mahimahi::cc {
 namespace {
 
-std::mutex& registry_mutex() {
-  static std::mutex mutex;
-  return mutex;
+using Factory = std::unique_ptr<CongestionController> (*)(const Params&);
+
+template <typename Controller>
+std::unique_ptr<CongestionController> make(const Params& params) {
+  return std::make_unique<Controller>(params);
 }
 
-std::map<std::string, Factory>& registry() {
-  static std::map<std::string, Factory> factories = [] {
-    std::map<std::string, Factory> built_in;
-    built_in["reno"] = [](const Params& p) {
-      return std::make_unique<RenoNewReno>(p);
-    };
-    built_in["cubic"] = [](const Params& p) {
-      return std::make_unique<Cubic>(p);
-    };
-    built_in["vegas"] = [](const Params& p) {
-      return std::make_unique<Vegas>(p);
-    };
-    built_in["bbr"] = [](const Params& p) {
-      return std::make_unique<BbrLite>(p);
-    };
-    return built_in;
-  }();
+/// The built-in controllers, by name. Immutable after its (thread-safe)
+/// static initialisation, so lookups need no lock.
+const std::map<std::string, Factory>& registry() {
+  static const std::map<std::string, Factory> factories{
+      {"bbr", &make<BbrLite>},
+      {"cubic", &make<Cubic>},
+      {"reno", &make<RenoNewReno>},
+      {"vegas", &make<Vegas>},
+  };
   return factories;
 }
 
@@ -42,39 +35,24 @@ std::map<std::string, Factory>& registry() {
 std::unique_ptr<CongestionController> make_controller(const std::string& name,
                                                       const Params& params) {
   const std::string& key = name.empty() ? kDefaultController : name;
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock{registry_mutex()};
-    const auto it = registry().find(key);
-    if (it == registry().end()) {
-      std::string known;
-      for (const auto& [registered, unused] : registry()) {
-        known += known.empty() ? registered : ", " + registered;
-      }
-      throw std::invalid_argument{"unknown congestion controller '" + key +
-                                  "' (registered: " + known + ")"};
+  const auto it = registry().find(key);
+  if (it == registry().end()) {
+    std::string known;
+    for (const auto& [registered, unused] : registry()) {
+      known += known.empty() ? registered : ", " + registered;
     }
-    factory = it->second;
+    throw std::invalid_argument{"unknown congestion controller '" + key +
+                                "' (registered: " + known + ")"};
   }
-  return factory(params);
-}
-
-void register_controller(const std::string& name, Factory factory) {
-  if (name.empty() || factory == nullptr) {
-    throw std::invalid_argument{"controller registration needs a name and factory"};
-  }
-  const std::lock_guard<std::mutex> lock{registry_mutex()};
-  registry()[name] = std::move(factory);
+  return it->second(params);
 }
 
 bool is_registered(const std::string& name) {
-  const std::lock_guard<std::mutex> lock{registry_mutex()};
   return registry().count(name.empty() ? kDefaultController : name) != 0;
 }
 
 std::vector<std::string> registered_controllers() {
   std::vector<std::string> names;
-  const std::lock_guard<std::mutex> lock{registry_mutex()};
   names.reserve(registry().size());
   for (const auto& [name, unused] : registry()) {
     names.push_back(name);

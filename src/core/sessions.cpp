@@ -285,27 +285,4 @@ Microseconds live_primary_one_way(const SessionConfig& config,
   return corpus::LiveWeb::primary_one_way(web, rng);
 }
 
-web::PageLoadResult LiveWebSession::load_once(int load_index) {
-  LoadOutcome outcome = load_outcome(load_index);
-  last_rtt_ = outcome.primary_rtt;
-  return std::move(outcome.result);
-}
-
-util::Samples LiveWebSession::measure(int count, ParallelRunner& runner) {
-  const auto outcomes =
-      runner.map(count, [this](int i) { return load_outcome(i); });
-  util::Samples samples;
-  for (const LoadOutcome& outcome : outcomes) {
-    samples.add(to_ms(outcome.result.page_load_time));
-  }
-  if (!outcomes.empty()) {
-    last_rtt_ = outcomes.back().primary_rtt;  // as after a sequential run
-  }
-  return samples;
-}
-
-util::Samples LiveWebSession::measure(int count) {
-  return measure(count, ParallelRunner::shared());
-}
-
 }  // namespace mahimahi::core

@@ -169,11 +169,12 @@ class RecordSession {
 
 /// "Actual web" driver (Figure 3): the browser loads the site directly
 /// from the simulated live Internet, no recording, no shells. Each load
-/// re-draws network weather.
+/// re-draws network weather. Stateless: loads run in parallel freely.
 class LiveWebSession {
  public:
-  /// One load's metrics plus the network weather it observed — returned
-  /// by value so parallel loads never race on session state.
+  /// One load's metrics plus the network weather it observed: the
+  /// primary-origin RTT is what the paper feeds to DelayShell for the
+  /// fair replay comparison.
   struct LoadOutcome {
     web::PageLoadResult result{};
     Microseconds primary_rtt{0};
@@ -184,20 +185,10 @@ class LiveWebSession {
 
   [[nodiscard]] LoadOutcome load_outcome(int load_index) const;
 
-  web::PageLoadResult load_once(int load_index = 0);
-  util::Samples measure(int count, ParallelRunner& runner);
-  /// Uses the process-wide ParallelRunner::shared() pool.
-  util::Samples measure(int count);
-
-  /// Primary-origin RTT of the most recent load (what the paper feeds to
-  /// DelayShell for the fair replay comparison).
-  [[nodiscard]] Microseconds last_primary_rtt() const { return last_rtt_; }
-
  private:
   const corpus::GeneratedSite& site_;
   corpus::LiveWebConfig web_;
   SessionConfig config_;
-  Microseconds last_rtt_{0};
 };
 
 /// The primary origin's one-way delay on load `load_index` of a

@@ -16,9 +16,8 @@ using namespace mahimahi::literals;
 namespace {
 
 /// The built-in "lte" trace pair: 6 Mbit/s uplink, a cellular-like
-/// downlink walking between 2 and 24 Mbit/s — the same shape
-/// bench_cc_comparison uses. Synthesized from fixed seeds so every
-/// expansion of every spec sees the identical trace.
+/// downlink walking between 2 and 24 Mbit/s. Synthesized from fixed
+/// seeds so every expansion of every spec sees the identical trace.
 std::pair<std::shared_ptr<const trace::PacketTrace>,
           std::shared_ptr<const trace::PacketTrace>>
 lte_traces() {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
@@ -31,16 +32,56 @@ void append_samples(std::string& out, const util::Samples& samples) {
   out += "]";
 }
 
-double statistic(Claim::Stat stat, const util::Samples& plt) {
+/// A single-cell claim statistic, or nullopt when the cell measured
+/// nothing it could be read from: no PLT samples or, for a probe
+/// statistic, no probe.
+std::optional<double> statistic(Claim::Stat stat, const CellResult& cell) {
+  const util::Samples& plt = cell.plt_ms;
+  const bool probe_stat =
+      stat == Claim::Stat::kQueueP95 || stat == Claim::Stat::kThroughput;
+  if (probe_stat ? !cell.probe_ran : plt.empty()) {
+    return std::nullopt;
+  }
   switch (stat) {
+    case Claim::Stat::kQueueP95:
+      return cell.queue_delay_p95_ms;
+    case Claim::Stat::kThroughput: {
+      double bps = 0;
+      for (const FlowResult& flow : cell.flows) {
+        bps += flow.throughput_bps;
+      }
+      return bps / 1e6;
+    }
     case Claim::Stat::kMean:
       return plt.mean();
     case Claim::Stat::kP95:
       return plt.percentile(95);
     case Claim::Stat::kCv:
       return 100.0 * plt.stddev() / plt.mean();
+    case Claim::Stat::kObjectsFailed:
+      return static_cast<double>(cell.objects_failed);
+    case Claim::Stat::kFailedLoads:
+      return static_cast<double>(cell.failed_loads);
+    case Claim::Stat::kRetries:
+      return static_cast<double>(cell.retries);
     default:
       return plt.median();
+  }
+}
+
+ClaimResult::Unit unit_of(const Claim& claim) {
+  if (claim.stat == Claim::Stat::kCv || !claim.vs.empty()) {
+    return ClaimResult::Unit::kPercent;
+  }
+  switch (claim.stat) {
+    case Claim::Stat::kThroughput:
+      return ClaimResult::Unit::kMbps;
+    case Claim::Stat::kObjectsFailed:
+    case Claim::Stat::kFailedLoads:
+    case Claim::Stat::kRetries:
+      return ClaimResult::Unit::kCount;
+    default:
+      return ClaimResult::Unit::kMs;
   }
 }
 
@@ -65,17 +106,16 @@ ClaimResult evaluate_claim(const Claim& claim, const CellResult* cell,
   ClaimResult result;
   result.name = claim.name;
   result.text = claim.text();
-  result.percent = claim.stat == Claim::Stat::kCv || !claim.vs.empty();
+  result.unit = unit_of(claim);
   if (cell == nullptr || (!claim.vs.empty() && vs == nullptr)) {
     return result;  // skipped: not in this shard
   }
-  const util::Samples& plt = cell->plt_ms;
-  bool valid = !plt.empty() && (vs == nullptr || !vs->plt_ms.empty());
-  if (valid && claim.paired()) {
+  bool valid = false;
+  if (claim.paired()) {
     // Per-load % differences: load k of both cells replays the same page.
-    const auto& a = plt.values();
+    const auto& a = cell->plt_ms.values();
     const auto& b = vs->plt_ms.values();
-    valid = a.size() == b.size();
+    valid = !a.empty() && a.size() == b.size();
     util::Samples diffs;
     for (std::size_t k = 0; valid && k < a.size(); ++k) {
       valid = b[k] > 0;
@@ -87,13 +127,15 @@ ClaimResult evaluate_claim(const Claim& claim, const CellResult* cell,
       result.value = diffs.percentile(
           claim.stat == Claim::Stat::kPairedP95 ? 95 : 50);
     }
-  } else if (valid) {
-    result.value = statistic(claim.stat, plt);
+  } else if (const std::optional<double> value =
+                 statistic(claim.stat, *cell)) {
+    result.value = *value;
+    valid = true;
     if (vs != nullptr) {
-      const double base = statistic(claim.stat, vs->plt_ms);
-      valid = base > 0;
+      const std::optional<double> base = statistic(claim.stat, *vs);
+      valid = base.has_value() && *base > 0;
       if (valid) {
-        result.value = util::percent_difference(base, result.value);
+        result.value = util::percent_difference(*base, result.value);
       }
     }
   }
@@ -112,6 +154,12 @@ ClaimResult evaluate_claim(const Claim& claim, const CellResult* cell,
       break;
     case Claim::Bound::kAtLeast:
       holds = result.value >= claim.limit;
+      break;
+    case Claim::Bound::kBelow:
+      holds = result.value < claim.limit;
+      break;
+    case Claim::Bound::kAbove:
+      holds = result.value > claim.limit;
       break;
     case Claim::Bound::kWithin:
       holds = std::abs(result.value) <= claim.limit;

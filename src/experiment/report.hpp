@@ -67,22 +67,26 @@ struct CellResult {
 };
 
 /// One evaluated claim (ExperimentSpec::claims). The value is a
-/// percentage for `cv`, `vs` and paired statistics, milliseconds
-/// otherwise.
+/// percentage for `cv`, `vs` and paired statistics; otherwise it is in
+/// the statistic's own unit: milliseconds, Mbit/s (throughput) or a
+/// count.
 struct ClaimResult {
   enum class Status { kPass, kFail, kUnbounded, kSkipped };
+  enum class Unit { kMs, kPercent, kMbps, kCount };
   std::string name;
   std::string text;  // Claim::text()
   Status status{Status::kSkipped};
   double value{0};
-  bool percent{false};
+  Unit unit{Unit::kMs};
 
   [[nodiscard]] const char* status_name() const;
 };
 
 /// Evaluate `claim` over its cells' rows; a null row (cell outside this
-/// shard) skips it. A claim over a cell without samples — or, paired,
-/// over cells whose loads do not line up — fails, bounded or not.
+/// shard) skips it. A claim over a cell without PLT samples, a probe
+/// statistic over a cell whose probe did not run, a `vs` claim whose base
+/// is not positive, or a paired claim over cells whose loads do not line
+/// up fails, bounded or not.
 ClaimResult evaluate_claim(const Claim& claim, const CellResult* cell,
                            const CellResult* vs);
 

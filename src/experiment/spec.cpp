@@ -318,20 +318,27 @@ constexpr std::pair<std::string_view, Claim::Stat> kStats[] = {
     {"cv", Claim::Stat::kCv},
     {"paired-p50", Claim::Stat::kPairedP50},
     {"paired-p95", Claim::Stat::kPairedP95},
+    {"queue-p95", Claim::Stat::kQueueP95},
+    {"throughput", Claim::Stat::kThroughput},
+    {"objects-failed", Claim::Stat::kObjectsFailed},
+    {"failed-loads", Claim::Stat::kFailedLoads},
+    {"retries", Claim::Stat::kRetries},
 };
 constexpr std::pair<std::string_view, Claim::Bound> kBounds[] = {
     {"<=", Claim::Bound::kAtMost},
     {">=", Claim::Bound::kAtLeast},
+    {"<", Claim::Bound::kBelow},
+    {">", Claim::Bound::kAbove},
     {"within", Claim::Bound::kWithin},
 };
 
-/// claim <name> <stat> <cell> [vs <cell>] [<= | >= | within <bound>]
+/// claim <name> <stat> <cell> [vs <cell>] [<= | >= | < | > | within <bound>]
 Claim parse_claim_line(const std::vector<std::string_view>& tokens,
                        int line_number) {
   const auto usage = [&] {
     fail(line_number, "claim expects '<name> <stat> <cell> [vs <cell>] "
-                      "[<= | >= | within <bound>]', e.g. 'claim overhead "
-                      "median delay0 vs replay <= 0.5'");
+                      "[<= | >= | < | > | within <bound>]', e.g. 'claim "
+                      "overhead median delay0 vs replay <= 0.5'");
   };
   if (tokens.size() < 4) {
     usage();
@@ -342,9 +349,12 @@ Claim parse_claim_line(const std::vector<std::string_view>& tokens,
       std::find_if(std::begin(kStats), std::end(kStats),
                    [&](const auto& s) { return s.first == tokens[2]; });
   if (stat == std::end(kStats)) {
+    std::string known;
+    for (const auto& [word, unused] : kStats) {
+      known += (known.empty() ? "" : ", ") + std::string{word};
+    }
     fail(line_number, "unknown claim statistic '" + std::string{tokens[2]} +
-                          "' (known: median, mean, p95, cv, paired-p50, "
-                          "paired-p95)");
+                          "' (known: " + known + ")");
   }
   claim.stat = stat->second;
   claim.cell = std::string{tokens[3]};

@@ -110,13 +110,28 @@ struct FaultAxis {
 
 /// A paper claim checked against the report: a statistic of one cell — or
 /// its percentage difference against a second cell — optionally bounded.
-///   claim <name> <stat> <cell> [vs <cell>] [<= | >= | within <bound>]
+///   claim <name> <stat> <cell> [vs <cell>] [<= | >= | < | > | within <bound>]
 /// A cell is selected by '/'-separated axis labels matching exactly one
-/// cell. paired-p50 / paired-p95 take percentiles of the per-load %
-/// differences, so both cells must load the same site (aligned loads).
+/// cell. median / mean / p95 / cv are PLT statistics; paired-p50 /
+/// paired-p95 take percentiles of the per-load PLT % differences, so both
+/// cells must load the same site (aligned loads). queue-p95 and
+/// throughput read the cell's transport probe; objects-failed,
+/// failed-loads and retries are the cell's resilience counts.
 struct Claim {
-  enum class Stat { kMedian, kMean, kP95, kCv, kPairedP50, kPairedP95 };
-  enum class Bound { kNone, kAtMost, kAtLeast, kWithin };
+  enum class Stat {
+    kMedian,
+    kMean,
+    kP95,
+    kCv,
+    kPairedP50,
+    kPairedP95,
+    kQueueP95,
+    kThroughput,
+    kObjectsFailed,
+    kFailedLoads,
+    kRetries,
+  };
+  enum class Bound { kNone, kAtMost, kAtLeast, kBelow, kAbove, kWithin };
   std::string name;
   Stat stat{Stat::kMedian};
   std::string cell;
@@ -132,8 +147,8 @@ struct Claim {
 };
 
 /// A declarative experiment: the cartesian product of its axes. Parse one
-/// from text with parse_spec(), or build it programmatically (the bench
-/// drivers do) — the two are equivalent by construction.
+/// from text with parse_spec(), or build it programmatically (the
+/// benchmark harness does) — the two are equivalent by construction.
 struct ExperimentSpec {
   std::string name{"experiment"};
   std::uint64_t seed{1};

@@ -13,10 +13,10 @@
 
 namespace mahimahi::net {
 
-/// Reference single-flow rig shared by bench_cc_comparison and
-/// mm_link_report --cc: one TCP bulk transfer through a fixed one-way
-/// delay and a constant-rate bottleneck with a deep (unbounded) buffer,
-/// optionally lossy, under a named congestion controller. Isolates the
+/// Reference single-flow rig behind mm_link_report --cc: one TCP bulk
+/// transfer through a fixed one-way delay and a constant-rate bottleneck
+/// with a deep (unbounded) buffer, optionally lossy, under a named
+/// congestion controller. Isolates the
 /// controller's transport behaviour — completion time and the queue it
 /// parks at the bottleneck — with no application model on top. Fully
 /// deterministic for a given spec.

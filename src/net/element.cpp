@@ -74,26 +74,6 @@ void ProcessingDelayBox::process(Packet&& packet, Direction direction) {
   });
 }
 
-// --- ReorderBox ----------------------------------------------------------------
-
-ReorderBox::ReorderBox(EventLoop& loop, util::Rng rng, Microseconds max_extra)
-    : loop_{loop}, rng_{std::move(rng)}, max_extra_{max_extra} {
-  MAHI_ASSERT(max_extra >= 0);
-}
-
-void ReorderBox::process(Packet&& packet, Direction direction) {
-  const Microseconds extra =
-      max_extra_ == 0 ? 0 : rng_.uniform_int(0, max_extra_);
-  if (extra == 0) {
-    emit(std::move(packet), direction);
-    return;
-  }
-  loop_.schedule_in(extra,
-                    [this, packet = std::move(packet), direction]() mutable {
-                      emit(std::move(packet), direction);
-                    });
-}
-
 // --- FlapBox ----------------------------------------------------------------
 
 FlapBox::FlapBox(EventLoop& loop, Microseconds period, Microseconds down,

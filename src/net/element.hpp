@@ -130,22 +130,6 @@ class ProcessingDelayBox final : public NetworkElement {
   Microseconds busy_until_[2]{0, 0};
 };
 
-/// Adds i.i.d. extra delay per packet, uniform in [0, max_extra] — a
-/// reordering stressor (packets overtaking each other), not shipped by
-/// mahimahi but invaluable for hardening TCP reassembly. Deterministic
-/// given its RNG fork.
-class ReorderBox final : public NetworkElement {
- public:
-  ReorderBox(EventLoop& loop, util::Rng rng, Microseconds max_extra);
-
-  void process(Packet&& packet, Direction direction) override;
-
- private:
-  EventLoop& loop_;
-  util::Rng rng_;
-  Microseconds max_extra_;
-};
-
 /// Periodic link outage (fault injection): both directions drop every
 /// packet while the link is down. Down iff some k >= 0 has
 /// offset + k*period <= now < offset + k*period + down — a pure function

@@ -183,14 +183,4 @@ LinkLogSummary summarize_link_log(const LinkLog& log, Microseconds bin_width) {
   return summary;
 }
 
-void LoggingTap::process(Packet&& packet, Direction direction) {
-  const Microseconds now = loop_ != nullptr ? loop_->now() : 0;
-  auto& log = logs_[direction == Direction::kUplink ? 0 : 1];
-  // A tap is not a queue: the packet arrives and departs instantly; both
-  // events are recorded so summaries see counts and bytes.
-  log.arrival(now, static_cast<std::uint32_t>(packet.wire_size()), packet.id);
-  log.departure(now, static_cast<std::uint32_t>(packet.wire_size()), packet.id);
-  emit(std::move(packet), direction);
-}
-
 }  // namespace mahimahi::net

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "net/element.hpp"
 #include "util/statistics.hpp"
 #include "util/time.hpp"
 
@@ -85,23 +85,5 @@ struct LinkLogSummary {
 /// ids are present, else FIFO order (the disciplines shipped are FIFO).
 LinkLogSummary summarize_link_log(const LinkLog& log,
                                   Microseconds bin_width = 500'000);
-
-/// A transparent element that logs everything crossing it, per direction —
-/// wrap it around a TraceLink to get mm-link's logs.
-class LoggingTap final : public NetworkElement {
- public:
-  void process(Packet&& packet, Direction direction) override;
-
-  [[nodiscard]] const LinkLog& log(Direction direction) const {
-    return logs_[direction == Direction::kUplink ? 0 : 1];
-  }
-
-  /// Install a clock source (defaults to zero timestamps if unset).
-  void set_clock(const EventLoop* loop) { loop_ = loop; }
-
- private:
-  const EventLoop* loop_{nullptr};
-  LinkLog logs_[2];
-};
 
 }  // namespace mahimahi::net

@@ -142,13 +142,4 @@ net::HttpClientConnection& RecordingProxy::upstream_for(
   return *pool.connections.back();
 }
 
-void RecordingProxy::retire_upstream(const net::Address& origin,
-                                     net::HttpClientConnection* connection) {
-  auto& pool = upstreams_[origin];
-  std::erase_if(pool.connections,
-                [connection](const std::unique_ptr<net::HttpClientConnection>& c) {
-                  return c.get() == connection;
-                });
-}
-
 }  // namespace mahimahi::record

@@ -51,8 +51,6 @@ class RecordingProxy {
 
   /// Idle-connection pool to upstream origins, keyed by origin address.
   net::HttpClientConnection& upstream_for(const net::Address& origin);
-  void retire_upstream(const net::Address& origin,
-                       net::HttpClientConnection* connection);
 
   net::Fabric& inner_;
   net::Fabric& outer_;

@@ -44,18 +44,6 @@ std::vector<std::pair<std::string, net::Ipv4>> RecordStore::host_bindings()
   return {bindings.begin(), bindings.end()};
 }
 
-std::vector<const RecordedExchange*> RecordStore::for_host(
-    std::string_view host) const {
-  const std::string wanted = util::to_lower(host);
-  std::vector<const RecordedExchange*> matches;
-  for (const auto& exchange : exchanges_) {
-    if (exchange.host() == wanted) {
-      matches.push_back(&exchange);
-    }
-  }
-  return matches;
-}
-
 std::uint64_t RecordStore::total_response_bytes() const {
   std::uint64_t total = 0;
   for (const auto& exchange : exchanges_) {

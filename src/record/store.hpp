@@ -36,10 +36,6 @@ class RecordStore {
   [[nodiscard]] std::vector<std::pair<std::string, net::Ipv4>> host_bindings()
       const;
 
-  /// All exchanges recorded for `host` (lowercased match).
-  [[nodiscard]] std::vector<const RecordedExchange*> for_host(
-      std::string_view host) const;
-
   /// Total recorded response-body bytes (site weight).
   [[nodiscard]] std::uint64_t total_response_bytes() const;
 

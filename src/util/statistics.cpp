@@ -8,49 +8,6 @@
 
 namespace mahimahi::util {
 
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * n2 / (n1 + n2);
-  m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double RunningStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return min_; }
-
-double RunningStats::max() const { return max_; }
-
 Samples::Samples(std::vector<double> values) : values_{std::move(values)} {}
 
 void Samples::add(double x) {
@@ -82,11 +39,16 @@ double Samples::mean() const {
 
 double Samples::stddev() const {
   MAHI_ASSERT(!values_.empty());
-  RunningStats stats;
+  double mean = 0.0;
+  double m2 = 0.0;
+  std::size_t count = 0;
   for (const double v : values_) {
-    stats.add(v);
+    ++count;
+    const double delta = v - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (v - mean);
   }
-  return stats.stddev();
+  return count < 2 ? 0.0 : std::sqrt(m2 / static_cast<double>(count - 1));
 }
 
 double Samples::min() const {
@@ -113,36 +75,6 @@ double Samples::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-double Samples::cdf_at(double x) const {
-  ensure_sorted();
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
-std::vector<std::pair<double, double>> Samples::cdf_points() const {
-  ensure_sorted();
-  std::vector<std::pair<double, double>> points;
-  points.reserve(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    points.emplace_back(sorted_[i],
-                        static_cast<double>(i + 1) / static_cast<double>(sorted_.size()));
-  }
-  return points;
-}
-
-Samples merge_ordered(const std::vector<Samples>& parts) {
-  std::size_t total = 0;
-  for (const Samples& part : parts) {
-    total += part.size();
-  }
-  std::vector<double> values;
-  values.reserve(total);
-  for (const Samples& part : parts) {
-    values.insert(values.end(), part.values().begin(), part.values().end());
-  }
-  return Samples{std::move(values)};
 }
 
 std::string render_table(const std::vector<std::vector<std::string>>& rows) {

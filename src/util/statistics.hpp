@@ -6,33 +6,7 @@
 
 namespace mahimahi::util {
 
-/// Streaming mean / variance (Welford). Numerically stable; O(1) space.
-class RunningStats {
- public:
-  void add(double x);
-
-  /// Combine with another accumulator (Chan et al. parallel variance
-  /// update) — merging per-task accumulators is exact, so statistics
-  /// computed under a parallel fan-out match the sequential run.
-  void merge(const RunningStats& other);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const;
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
- private:
-  std::size_t count_{0};
-  double mean_{0.0};
-  double m2_{0.0};
-  double min_{0.0};
-  double max_{0.0};
-};
-
-/// A batch of samples with percentile / CDF queries. Keeps every sample;
+/// A batch of samples with percentile queries. Keeps every sample;
 /// intended for experiment post-processing, not hot paths.
 class Samples {
  public:
@@ -52,6 +26,8 @@ class Samples {
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
   [[nodiscard]] double mean() const;
+  /// Sample standard deviation (n-1 denominator; 0 for one sample),
+  /// accumulated in one Welford pass.
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
@@ -60,13 +36,6 @@ class Samples {
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
 
-  /// Empirical CDF evaluated at x: fraction of samples <= x.
-  [[nodiscard]] double cdf_at(double x) const;
-
-  /// (value, cumulative proportion) pairs at each sample point, for
-  /// gnuplot-style CDF output like the paper's Figures 2 and 3.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf_points() const;
-
  private:
   void ensure_sorted() const;
 
@@ -74,10 +43,6 @@ class Samples {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_{false};
 };
-
-/// Concatenate sample batches in the given order (index-ordered merge of
-/// per-task results from a parallel fan-out).
-Samples merge_ordered(const std::vector<Samples>& parts);
 
 /// Render a fixed-width table (rows of cells) — used by the bench harness
 /// to print paper-style tables.

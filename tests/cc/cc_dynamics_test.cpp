@@ -311,28 +311,5 @@ TEST(Registry, UnknownNameThrowsListingRegistered) {
   }
 }
 
-TEST(Registry, CustomControllersCanBeRegistered) {
-  register_controller("fixed-window", [](const Params& params) {
-    class Fixed final : public CongestionController {
-     public:
-      using CongestionController::CongestionController;
-      [[nodiscard]] std::string_view name() const override {
-        return "fixed-window";
-      }
-      void on_ack(const AckEvent&) override {}
-      void on_loss_event(const LossEvent&) override {}
-      void on_rto(const RtoEvent&) override {}
-      void on_rtt_sample(Microseconds, Microseconds) override {}
-      [[nodiscard]] double cwnd_bytes() const override {
-        return params().initial_cwnd_bytes;
-      }
-    };
-    return std::make_unique<Fixed>(params);
-  });
-  EXPECT_TRUE(is_registered("fixed-window"));
-  EXPECT_EQ(make_controller("fixed-window", test_params())->name(),
-            "fixed-window");
-}
-
 }  // namespace
 }  // namespace mahimahi::cc

@@ -110,11 +110,9 @@ TEST(RecordSession, ShellsApplyToRecordingPath) {
 
 TEST(LiveWebSession, RttVariesAcrossLoads) {
   const auto site = corpus::generate_site(tiny_spec());
-  LiveWebSession live{site, corpus::LiveWebConfig{}, quick_config()};
-  (void)live.load_once(0);
-  const auto rtt0 = live.last_primary_rtt();
-  (void)live.load_once(1);
-  const auto rtt1 = live.last_primary_rtt();
+  const LiveWebSession live{site, corpus::LiveWebConfig{}, quick_config()};
+  const auto rtt0 = live.load_outcome(0).primary_rtt;
+  const auto rtt1 = live.load_outcome(1).primary_rtt;
   EXPECT_GT(rtt0, 0);
   EXPECT_NE(rtt0, rtt1);  // weather redraw
 }

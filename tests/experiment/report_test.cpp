@@ -86,13 +86,13 @@ TEST(Claims, StatisticsBoundsAndVerdicts) {
       evaluate_claim(make_claim(Stat::kMean, "", Bound::kAtMost, 220), &a,
                      nullptr);
   EXPECT_DOUBLE_EQ(r.value, 220);
-  EXPECT_FALSE(r.percent);
+  EXPECT_EQ(r.unit, ClaimResult::Unit::kMs);
   EXPECT_EQ(r.status, ClaimResult::Status::kPass);
   // vs: the % difference of the statistic, relative to the vs cell.
   r = evaluate_claim(make_claim(Stat::kMedian, "b", Bound::kAtLeast, 10.5),
                      &a, &b);
   EXPECT_DOUBLE_EQ(r.value, 10);
-  EXPECT_TRUE(r.percent);
+  EXPECT_EQ(r.unit, ClaimResult::Unit::kPercent);
   EXPECT_EQ(r.status, ClaimResult::Status::kFail);
   EXPECT_STREQ(r.status_name(), "fail");
   // within bounds |value|.
@@ -127,13 +127,129 @@ TEST(Claims, MissingOrMisalignedSamplesFailEvenUnbounded) {
             ClaimResult::Status::kFail);
 }
 
+/// A one-load cell with a probe of two flows and resilience counts.
+CellResult probed_row(double queue_p95_ms, double bps_a, double bps_b,
+                      std::uint64_t objects_failed, std::size_t failed_loads,
+                      std::uint64_t retries) {
+  CellResult row = row_with({1000});
+  row.probe_ran = true;
+  row.queue_delay_p95_ms = queue_p95_ms;
+  row.flows = {FlowResult{"cubic", 0, bps_a, 0.5, 0},
+               FlowResult{"bbr", 0, bps_b, 0.5, 0}};
+  row.objects_failed = objects_failed;
+  row.failed_loads = failed_loads;
+  row.retries = retries;
+  return row;
+}
+
+TEST(Claims, ProbeAndCountStatisticsInTheirOwnUnits) {
+  using Stat = Claim::Stat;
+  using Bound = Claim::Bound;
+  const CellResult a = probed_row(40, 3e6, 1e6, 3, 1, 20);
+  const CellResult b = probed_row(160, 1e6, 1e6, 12, 4, 0);
+  struct Case {
+    Stat stat;
+    double value;
+    ClaimResult::Unit unit;
+  };
+  for (const Case& c :
+       {Case{Stat::kQueueP95, 40, ClaimResult::Unit::kMs},
+        Case{Stat::kThroughput, 4, ClaimResult::Unit::kMbps},
+        Case{Stat::kObjectsFailed, 3, ClaimResult::Unit::kCount},
+        Case{Stat::kFailedLoads, 1, ClaimResult::Unit::kCount},
+        Case{Stat::kRetries, 20, ClaimResult::Unit::kCount}}) {
+    const ClaimResult r =
+        evaluate_claim(make_claim(c.stat, "", Bound::kNone, 0), &a, nullptr);
+    EXPECT_DOUBLE_EQ(r.value, c.value);
+    EXPECT_EQ(r.unit, c.unit);
+    EXPECT_EQ(r.status, ClaimResult::Status::kUnbounded);
+  }
+  // vs: the % difference against the vs cell, whatever the statistic.
+  ClaimResult r = evaluate_claim(
+      make_claim(Stat::kQueueP95, "b", Bound::kBelow, 0), &a, &b);
+  EXPECT_DOUBLE_EQ(r.value, -75);
+  EXPECT_EQ(r.unit, ClaimResult::Unit::kPercent);
+  EXPECT_EQ(r.status, ClaimResult::Status::kPass);
+  r = evaluate_claim(make_claim(Stat::kThroughput, "b", Bound::kAbove, 0),
+                     &a, &b);
+  EXPECT_DOUBLE_EQ(r.value, 100);
+  EXPECT_EQ(r.status, ClaimResult::Status::kPass);
+  r = evaluate_claim(make_claim(Stat::kObjectsFailed, "b", Bound::kBelow, 0),
+                     &a, &b);
+  EXPECT_DOUBLE_EQ(r.value, -75);
+  EXPECT_EQ(r.status, ClaimResult::Status::kPass);
+  r = evaluate_claim(make_claim(Stat::kRetries, "", Bound::kAbove, 0), &b,
+                     nullptr);
+  EXPECT_EQ(r.status, ClaimResult::Status::kFail);
+}
+
+TEST(Claims, StrictBoundsFailAtEquality) {
+  using Bound = Claim::Bound;
+  const CellResult a = probed_row(40, 1e6, 1e6, 0, 0, 0);
+  const auto status = [&](Claim::Stat stat, Bound bound, double limit) {
+    return evaluate_claim(make_claim(stat, "", bound, limit), &a, nullptr)
+        .status;
+  };
+  for (const Claim::Stat stat :
+       {Claim::Stat::kMedian, Claim::Stat::kObjectsFailed}) {
+    const double at = stat == Claim::Stat::kMedian ? 1000 : 0;
+    EXPECT_EQ(status(stat, Bound::kAtMost, at), ClaimResult::Status::kPass);
+    EXPECT_EQ(status(stat, Bound::kAtLeast, at), ClaimResult::Status::kPass);
+    EXPECT_EQ(status(stat, Bound::kBelow, at), ClaimResult::Status::kFail);
+    EXPECT_EQ(status(stat, Bound::kAbove, at), ClaimResult::Status::kFail);
+    EXPECT_EQ(status(stat, Bound::kBelow, at + 1), ClaimResult::Status::kPass);
+    EXPECT_EQ(status(stat, Bound::kAbove, at - 1), ClaimResult::Status::kPass);
+  }
+}
+
+TEST(Claims, ProbeStatisticWithoutAProbeFailsNeverReadsZero) {
+  CellResult unprobed = probed_row(0, 0, 0, 0, 0, 0);
+  unprobed.probe_ran = false;
+  unprobed.flows.clear();
+  const CellResult probed = probed_row(40, 1e6, 1e6, 0, 0, 0);
+  for (const Claim::Stat stat :
+       {Claim::Stat::kQueueP95, Claim::Stat::kThroughput}) {
+    // Unprobed: 0 would satisfy "<= 0", yet the claim fails.
+    EXPECT_EQ(evaluate_claim(make_claim(stat, "", Claim::Bound::kAtMost, 0),
+                             &unprobed, nullptr)
+                  .status,
+              ClaimResult::Status::kFail);
+    EXPECT_EQ(evaluate_claim(make_claim(stat, "b", Claim::Bound::kNone, 0),
+                             &probed, &unprobed)
+                  .status,
+              ClaimResult::Status::kFail);
+  }
+}
+
+TEST(Claims, VsZeroBaseFails) {
+  // A percentage against nothing is undefined: a zero base fails, bounded
+  // or not, for counts as for PLT.
+  const CellResult some = probed_row(40, 1e6, 1e6, 5, 1, 3);
+  const CellResult none = probed_row(40, 1e6, 1e6, 0, 0, 0);
+  for (const Claim::Stat stat :
+       {Claim::Stat::kObjectsFailed, Claim::Stat::kFailedLoads,
+        Claim::Stat::kRetries}) {
+    const ClaimResult r = evaluate_claim(
+        make_claim(stat, "b", Claim::Bound::kNone, 0), &some, &none);
+    EXPECT_EQ(r.status, ClaimResult::Status::kFail);
+    EXPECT_DOUBLE_EQ(r.value, 0);
+  }
+  const CellResult zero_plt = row_with({0});
+  EXPECT_EQ(evaluate_claim(make_claim(Claim::Stat::kMedian, "b",
+                                      Claim::Bound::kNone, 0),
+                           &some, &zero_plt)
+                .status,
+            ClaimResult::Status::kFail);
+}
+
 TEST(ReportJson, ClaimsParseBack) {
   Report report = report_with_awkward_strings();
   report.claims.push_back(
       ClaimResult{"over\"head", "median a vs b <= 1",
-                  ClaimResult::Status::kPass, 0.25, true});
+                  ClaimResult::Status::kPass, 0.25,
+                  ClaimResult::Unit::kPercent});
   report.claims.push_back(ClaimResult{"far", "median c",
-                                      ClaimResult::Status::kSkipped, 0, false});
+                                      ClaimResult::Status::kSkipped, 0});
   const JsonValue root = util::parse_json(report.to_json());
   const JsonValue& claims = *root.find("claims");
   ASSERT_EQ(claims.array.size(), 2u);

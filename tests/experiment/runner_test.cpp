@@ -70,7 +70,7 @@ TEST(ExperimentRunner, RunsEveryCellAndReportsSamples) {
   // The probe really ran each cell's controller (both fully utilize the
   // clean 8 Mbit/s bottleneck, so byte counts alone cannot tell them
   // apart — the transport-visible difference shows on lossy cells, which
-  // bench_cc_comparison's shape checks cover).
+  // experiments/cc.mx's claims cover).
   EXPECT_EQ(report.cells[0].flows[0].controller, "reno");
   EXPECT_EQ(report.cells[1].flows[0].controller, "cubic");
 }
@@ -477,6 +477,55 @@ TEST(ExperimentRunner, FailedLoadsLandAsReportRowsNotCrashes) {
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"fault\": \"grim\""), std::string::npos);
   EXPECT_NE(json.find("\"objects_failed\""), std::string::npos);
+}
+
+TEST(ExperimentRunner, DegradedPltIsBoundedByPltAndEqualOnCleanLoads) {
+  // Graceful degradation, load by load, in every cell of a faulted
+  // matrix: degraded PLT never exceeds PLT, and a load that lost no
+  // object is not degraded at all. The report keeps per-load PLTs but
+  // only per-cell failure counts, so each load is replayed directly with
+  // the cell's config — and must reproduce the engine's samples exactly.
+  ExperimentSpec spec = faulted_spec();
+  spec.loads_per_cell = 4;
+  RunOptions options;
+  options.transport_probes = false;
+  const Report report = run_experiment(spec, options);
+  const std::vector<Cell> cells = expand_matrix(spec);
+  const RecordedSite site = record_site(spec.seed, spec.sites[0]);
+  ASSERT_EQ(report.cells.size(), cells.size());
+  std::size_t clean_loads = 0;
+  std::size_t faulted_loads = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const CellResult& row = report.cells[c];
+    ASSERT_EQ(row.plt_ms.size(), 4u) << row.fault;
+    ASSERT_EQ(row.degraded_plt_ms.size(), 4u) << row.fault;
+    core::SessionConfig config = reference_config(cells[c]);
+    config.fault = cells[c].fault.fault;
+    const core::ReplaySession session{site.store, config};
+    std::uint64_t objects_failed = 0;
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t i = static_cast<std::size_t>(k);
+      const double plt = row.plt_ms.values()[i];
+      const double degraded = row.degraded_plt_ms.values()[i];
+      EXPECT_LE(degraded, plt) << row.fault << " load " << k;
+      const web::PageLoadResult direct =
+          session.load_once(site.site.primary_url(), k);
+      EXPECT_EQ(to_ms(direct.page_load_time), plt) << row.fault << " " << k;
+      EXPECT_EQ(to_ms(direct.degraded_page_load_time), degraded)
+          << row.fault << " load " << k;
+      objects_failed += direct.objects_failed;
+      if (direct.objects_failed == 0) {
+        EXPECT_EQ(degraded, plt) << row.fault << " load " << k;
+        ++clean_loads;
+      } else {
+        ++faulted_loads;
+      }
+    }
+    EXPECT_EQ(objects_failed, row.objects_failed) << row.fault;
+  }
+  // Both branches of the invariant were exercised.
+  EXPECT_GT(clean_loads, 0u);
+  EXPECT_GT(faulted_loads, 0u);
 }
 
 }  // namespace

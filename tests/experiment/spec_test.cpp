@@ -293,6 +293,38 @@ TEST(SpecParse, ClaimsParse) {
   EXPECT_TRUE(spec.claims[2].paired());
 }
 
+TEST(SpecParse, ProbeAndCountClaimsAndStrictBoundsRoundTrip) {
+  const std::string axes =
+      "shell lte delay=30ms link=lte\ncc reno\ncc bbr\n"
+      "fault none\nfault crash crash:p=0.1 noretry\n";
+  const std::vector<std::pair<std::string, Claim::Stat>> stats = {
+      {"queue-p95", Claim::Stat::kQueueP95},
+      {"throughput", Claim::Stat::kThroughput},
+      {"objects-failed", Claim::Stat::kObjectsFailed},
+      {"failed-loads", Claim::Stat::kFailedLoads},
+      {"retries", Claim::Stat::kRetries},
+  };
+  const std::vector<std::pair<std::string, Claim::Bound>> bounds = {
+      {" < 0", Claim::Bound::kBelow},
+      {" > 2.5", Claim::Bound::kAbove},
+      {" <= -1", Claim::Bound::kAtMost},
+      {"", Claim::Bound::kNone},
+  };
+  for (const auto& [stat_word, stat] : stats) {
+    for (const auto& [bound_text, bound] : bounds) {
+      for (const std::string cells : {"bbr/crash", "bbr/crash vs reno/none"}) {
+        const std::string text = stat_word + " " + cells + bound_text;
+        const ExperimentSpec spec = parse_spec(axes + "claim c " + text + "\n");
+        ASSERT_EQ(spec.claims.size(), 1u) << text;
+        EXPECT_EQ(spec.claims[0].stat, stat) << text;
+        EXPECT_EQ(spec.claims[0].bound, bound) << text;
+        EXPECT_FALSE(spec.claims[0].paired()) << text;
+        EXPECT_EQ(spec.claims[0].text(), text);
+      }
+    }
+  }
+}
+
 TEST(SpecParse, ClaimErrorsAreTypedAndNameTheLine) {
   const std::string axes =
       "site nytimes\nsite wikihow\nshell a delay=1ms\nshell b delay=2ms\n";
@@ -308,7 +340,9 @@ TEST(SpecParse, ClaimErrorsAreTypedAndNameTheLine) {
   expect_spec_error(axes + "claim x paired-p50 nytimes/a\n", 5, "vs <cell>");
   // Malformed lines.
   expect_spec_error(axes + "claim x p99 nytimes/a\n", 5, "statistic 'p99'");
-  expect_spec_error(axes + "claim x median nytimes/a < 3\n", 5,
+  expect_spec_error(axes + "claim x median nytimes/a == 3\n", 5,
+                    "claim expects");
+  expect_spec_error(axes + "claim x retries nytimes/a > 0 1\n", 5,
                     "claim expects");
   expect_spec_error(axes + "claim x median nytimes/a <=\n", 5,
                     "claim expects");

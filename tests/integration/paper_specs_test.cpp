@@ -1,7 +1,9 @@
 // The paper-figure specs (experiments/paper/*.mx) as engine inputs: each
 // parses, and its report — claims included — is byte-identical at 1 vs 4
-// threads and when sharded two ways. mm_experiment turns a failed bounded
-// claim into exit status 1.
+// threads and when sharded two ways. The transport and resilience specs
+// (experiments/{cc,faults}.mx) run with their probes and must pass every
+// bounded claim. mm_experiment turns a failed bounded claim into exit
+// status 1.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +21,9 @@
 namespace mahimahi::experiment {
 namespace {
 
-const std::filesystem::path kPaperDir =
-    std::filesystem::path{MAHI_TEST_SOURCE_DIR} / ".." / "experiments" /
-    "paper";
+const std::filesystem::path kExperimentsDir =
+    std::filesystem::path{MAHI_TEST_SOURCE_DIR} / ".." / "experiments";
+const std::filesystem::path kPaperDir = kExperimentsDir / "paper";
 
 /// Each cell serialized on its own, keyed by its global index — shard
 /// reports carry different headers, so rows are what must match.
@@ -68,6 +70,38 @@ INSTANTIATE_TEST_SUITE_P(Paper, PaperSpec,
                          testing::Values("fig2", "fig3", "table1", "table2",
                                          "protocols", "ablation"));
 
+/// Specs whose claims are expected shapes (CUBIC beats Reno on a high-BDP
+/// path, retries recover crashed objects, ...): every bounded claim must
+/// pass, with the transport probes on since the cc claims read them.
+class ShapeSpec : public testing::TestWithParam<const char*> {};
+
+TEST_P(ShapeSpec, BoundedClaimsPassAndReportsAreByteIdentical) {
+  const ExperimentSpec spec = load_spec_file(
+      (kExperimentsDir / (std::string{GetParam()} + ".mx")).string());
+  ASSERT_FALSE(spec.claims.empty());
+  core::ParallelRunner one{1};
+  core::ParallelRunner four{4};
+  RunOptions options;
+  options.loads_override = 2;
+  options.runner = &one;
+  const Report serial = run_experiment(spec, options);
+  options.runner = &four;
+  const Report parallel = run_experiment(spec, options);
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
+  EXPECT_EQ(serial.to_csv(), parallel.to_csv());
+  ASSERT_EQ(serial.claims.size(), spec.claims.size());
+  for (std::size_t i = 0; i < spec.claims.size(); ++i) {
+    if (spec.claims[i].bound != Claim::Bound::kNone) {
+      EXPECT_EQ(serial.claims[i].status, ClaimResult::Status::kPass)
+          << serial.claims[i].name << ": " << serial.claims[i].text << " = "
+          << serial.claims[i].value;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Experiments, ShapeSpec,
+                         testing::Values("cc", "faults"));
+
 /// mm_experiment is built next to this test binary (when tools are on).
 std::filesystem::path mm_experiment_path() {
   char self[PATH_MAX] = {};
@@ -101,6 +135,8 @@ TEST(MmExperiment, FailedBoundedClaimExitsOne) {
   EXPECT_EQ(run_tool(spec + "claim slower median b vs a >= 0\n", "pass"), 0);
   EXPECT_EQ(run_tool(spec + "claim unbounded median b vs a\n", "print"), 0);
   EXPECT_EQ(run_tool(spec + "claim faster median b vs a <= 0\n", "fail"), 1);
+  EXPECT_EQ(run_tool(spec + "claim strict median a vs b < 0\n", "lt"), 0);
+  EXPECT_EQ(run_tool(spec + "claim strict median b vs a < 0\n", "ltfail"), 1);
   EXPECT_EQ(run_tool(spec + "claim typo median c vs a <= 0\n", "typo"), 2);
 }
 

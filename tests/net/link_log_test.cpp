@@ -122,20 +122,5 @@ TEST(TraceLinkLogging, MatchesDeliveredCounters) {
   EXPECT_EQ(summary.bytes_delivered, link.uplink().delivered_bytes());
 }
 
-TEST(LoggingTap, CountsBothDirections) {
-  EventLoop loop;
-  Chain chain;
-  auto tap = std::make_unique<LoggingTap>();
-  tap->set_clock(&loop);
-  LoggingTap& ref = *tap;
-  chain.push_back(std::move(tap));
-  chain.set_outputs([](Packet&&) {}, [](Packet&&) {});
-  chain.send_uplink(make_packet(1, 100));
-  chain.send_uplink(make_packet(2, 100));
-  chain.send_downlink(make_packet(3, 100));
-  EXPECT_EQ(summarize_link_log(ref.log(Direction::kUplink)).arrivals, 2u);
-  EXPECT_EQ(summarize_link_log(ref.log(Direction::kDownlink)).arrivals, 1u);
-}
-
 }  // namespace
 }  // namespace mahimahi::net

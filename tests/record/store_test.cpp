@@ -45,15 +45,6 @@ TEST(RecordStore, HostBindingsMapNamesToRecordedIps) {
   EXPECT_EQ(bindings[1].second, kB.ip);
 }
 
-TEST(RecordStore, ForHostFiltersCaseInsensitively) {
-  RecordStore store;
-  store.add(make_exchange("http://A.test/1", kA));
-  store.add(make_exchange("http://b.test/1", kB));
-  EXPECT_EQ(store.for_host("a.TEST").size(), 1u);
-  EXPECT_EQ(store.for_host("b.test").size(), 1u);
-  EXPECT_TRUE(store.for_host("c.test").empty());
-}
-
 TEST(RecordStore, TotalResponseBytes) {
   RecordStore store;
   store.add(make_exchange("http://a.test/1", kA, std::string(100, 'x')));

@@ -7,28 +7,6 @@
 namespace mahimahi::util {
 namespace {
 
-TEST(RunningStats, MeanAndStdDev) {
-  RunningStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(v);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.13809, 1e-4);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, EmptyAndSingle) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
 TEST(Samples, PercentileInterpolates) {
   Samples s{{10.0, 20.0, 30.0, 40.0}};
   EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
@@ -50,25 +28,6 @@ TEST(Samples, PercentileOutOfRangeThrows) {
   EXPECT_THROW((void)s.percentile(100.5), InternalError);
 }
 
-TEST(Samples, CdfAt) {
-  Samples s{{1.0, 2.0, 3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(s.cdf_at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.cdf_at(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(s.cdf_at(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(s.cdf_at(100.0), 1.0);
-}
-
-TEST(Samples, CdfPointsMonotone) {
-  Samples s{{5.0, 1.0, 3.0, 2.0, 4.0}};
-  const auto points = s.cdf_points();
-  ASSERT_EQ(points.size(), 5u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_LE(points[i - 1].first, points[i].first);
-    EXPECT_LT(points[i - 1].second, points[i].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
 TEST(Samples, AddInvalidatesSortCache) {
   Samples s{{3.0, 1.0}};
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
@@ -77,45 +36,11 @@ TEST(Samples, AddInvalidatesSortCache) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
 }
 
-TEST(Samples, MeanStdDevMatchRunningStats) {
+TEST(Samples, MeanAndSampleStdDev) {
   Samples s{{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}};
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.13809, 1e-4);
-}
-
-TEST(RunningStats, MergeMatchesSequentialAccumulation) {
-  // Chan-style combine of per-task accumulators must equal one sequential
-  // pass — the statistics half of the parallel measurement contract.
-  const double values[] = {3.5, -1.0, 0.0, 12.25, 7.5, 2.0, 2.0, -8.75, 4.0};
-  RunningStats sequential;
-  RunningStats left;
-  RunningStats right;
-  int i = 0;
-  for (const double v : values) {
-    sequential.add(v);
-    (i++ < 4 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), sequential.count());
-  EXPECT_DOUBLE_EQ(left.mean(), sequential.mean());
-  EXPECT_NEAR(left.variance(), sequential.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), sequential.min());
-  EXPECT_DOUBLE_EQ(left.max(), sequential.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats stats;
-  stats.add(2.0);
-  stats.add(4.0);
-  RunningStats empty;
-  stats.merge(empty);  // no-op
-  EXPECT_EQ(stats.count(), 2u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.0);
-  empty.merge(stats);  // adopt
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(empty.min(), 2.0);
-  EXPECT_DOUBLE_EQ(empty.max(), 4.0);
+  EXPECT_NEAR(s.stddev(), 2.13809, 1e-4);  // n-1 denominator
+  EXPECT_DOUBLE_EQ(Samples{{3.5}}.stddev(), 0.0);
 }
 
 TEST(Samples, AppendPreservesBothInsertionOrders) {
@@ -132,18 +57,6 @@ TEST(Samples, AppendInvalidatesSortCache) {
   samples.append(Samples{{1.0}});
   EXPECT_DOUBLE_EQ(samples.min(), 1.0);
   EXPECT_DOUBLE_EQ(samples.max(), 4.0);
-}
-
-TEST(MergeOrdered, ConcatenatesPartsInGivenOrder) {
-  const auto merged =
-      merge_ordered({Samples{{1.0, 2.0}}, Samples{}, Samples{{0.5}}});
-  const std::vector<double> expected{1.0, 2.0, 0.5};
-  EXPECT_EQ(merged.values(), expected);
-}
-
-TEST(MergeOrdered, EmptyInput) {
-  EXPECT_TRUE(merge_ordered({}).empty());
-  EXPECT_TRUE(merge_ordered({Samples{}, Samples{}}).empty());
 }
 
 TEST(PercentDifference, Signs) {

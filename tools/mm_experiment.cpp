@@ -185,7 +185,20 @@ void print_claims(const Report& report) {
       std::printf(" %11s  skipped (cell outside this shard)\n", "-");
       continue;
     }
-    std::printf(claim.percent ? " %10.2f%%" : " %8.1f ms", claim.value);
+    switch (claim.unit) {
+      case ClaimResult::Unit::kMs:
+        std::printf(" %8.1f ms", claim.value);
+        break;
+      case ClaimResult::Unit::kPercent:
+        std::printf(" %10.2f%%", claim.value);
+        break;
+      case ClaimResult::Unit::kMbps:
+        std::printf(" %4.2f Mbit/s", claim.value);
+        break;
+      case ClaimResult::Unit::kCount:
+        std::printf(" %11.0f", claim.value);
+        break;
+    }
     std::printf("  %s\n", claim.status_name());
   }
 }
