@@ -6,8 +6,8 @@
 // same recorded page, the same emulated networks, fully reproducible —
 // which is exactly what the toolkit is for.
 //
-// Set base.congestion_control to any registered controller ("cubic",
-// "vegas", "bbr", ...) to rerun the identical sweep under it.
+// Set base.controllers to any registered controller ({"cubic"},
+// {"vegas"}, {"bbr"}, ...) to rerun the identical sweep under it.
 
 #include <cstdio>
 

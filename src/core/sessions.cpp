@@ -42,14 +42,33 @@ web::PageLoadResult run_load(net::EventLoop& loop, web::Browser& browser,
   return std::move(*result);
 }
 
-/// Live-web config for one session: the congestion-control override
-/// reaches the origin servers' side of every flow, not just the browser's.
+/// Live-web config for one session: a single controller reaches the
+/// origin servers' side of every flow, not just the browser's. The live
+/// web runs one controller on its origins, so a mixed list leaves them on
+/// the default (experiment specs reject that combination).
 corpus::LiveWebConfig session_live_web(const SessionConfig& config,
                                        corpus::LiveWebConfig web) {
-  if (!config.congestion_control.empty()) {
-    web.tcp.congestion_control = config.congestion_control;
+  if (config.controllers.size() == 1) {
+    web.tcp.congestion_control = config.controllers.front();
   }
   return web;
+}
+
+/// Replay origin-server options for one namespace: the caller's `options`
+/// plus the session's controller list on the server side of every flow,
+/// the namespace's trace tag and its fault plan.
+replay::OriginServerSet::Options origin_options(
+    const SessionConfig& config, replay::OriginServerSet::Options options,
+    const fault::FaultPlan& plan, std::int32_t trace_session) {
+  options.tcp.tracer = config.tracer;
+  options.tcp.trace_session = trace_session;
+  if (!config.controllers.empty()) {
+    options.cc_fleet = config.controllers;
+  }
+  if (plan.active()) {
+    options.fault = plan;
+  }
+  return options;
 }
 
 }  // namespace
@@ -63,11 +82,8 @@ web::BrowserConfig session_browser_config(const SessionConfig& config) {
   web::BrowserConfig browser = scaled_browser(config.browser, config.host);
   browser.tcp.tracer = config.tracer;
   browser.tcp.trace_session = config.trace_session;
-  if (!config.congestion_control.empty()) {
-    browser.tcp.congestion_control = config.congestion_control;
-  }
-  if (!config.cc_fleet.empty()) {
-    browser.cc_fleet = config.cc_fleet;
+  if (!config.controllers.empty()) {
+    browser.cc_fleet = config.controllers;
   }
   if (config.fault.any() && !config.fault.client.no_retry) {
     // A faulted world gets the plan's client policy; "noretry" measures
@@ -82,19 +98,49 @@ web::BrowserConfig session_browser_config(const SessionConfig& config) {
   return browser;
 }
 
-replay::OriginServerSet::Options session_origin_options(
+// --- ReplayNamespace -----------------------------------------------------
+
+ReplayNamespace::ReplayNamespace(
+    net::EventLoop& loop, const record::RecordStore& store,
     const SessionConfig& config,
-    const replay::OriginServerSet::Options& base) {
-  replay::OriginServerSet::Options options = base;
-  options.tcp.tracer = config.tracer;
-  options.tcp.trace_session = config.trace_session;
-  if (!config.congestion_control.empty()) {
-    options.tcp.congestion_control = config.congestion_control;
+    const replay::OriginServerSet::Options& options,
+    std::uint64_t fault_plan_seed, const util::Rng& shell_rng,
+    std::int32_t trace_session)
+    : plan_{config.fault, fault_plan_seed},
+      fabric_{loop},
+      // ReplayShell: one server per recorded (IP, port) — or the
+      // single-server ablation — plus a local DNS (dnsmasq equivalent).
+      servers_{fabric_, store,
+               origin_options(config, options, plan_, trace_session)},
+      dns_server_{fabric_,
+                  net::Address{fabric_.allocate_server_ip(), net::kDnsPort},
+                  servers_.dns_table()} {
+  dns_server_.set_tracer(config.tracer, trace_session);
+  if (plan_.spec().dns.any()) {
+    dns_server_.set_fault_hook([plan = plan_](std::uint64_t query_index) {
+      return plan.dns_query_fault(query_index);
+    });
   }
-  if (!config.cc_fleet.empty()) {
-    options.cc_fleet = config.cc_fleet;
+
+  // Fault elements sit innermost (application side, chain index 0): the
+  // flap blackhole and corruption hit browser traffic before any shell.
+  if (plan_.spec().flap.has_value()) {
+    const auto& flap = *plan_.spec().flap;
+    auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
+                                              flap.offset);
+    box->set_tracer(config.tracer, trace_session);
+    fabric_.chain().push_back(std::move(box));
   }
-  return options;
+  if (plan_.spec().corrupt.has_value()) {
+    auto box = std::make_unique<net::CorruptBox>(plan_.plan_seed(),
+                                                 plan_.spec().corrupt->rate);
+    box->set_tracer(config.tracer, trace_session, &loop);
+    fabric_.chain().push_back(std::move(box));
+  }
+
+  // Nested shells between the application and the replayed servers.
+  apply_shells(fabric_, config.shells, config.host, shell_rng, config.tracer,
+               trace_session);
 }
 
 // --- ReplayWorld ---------------------------------------------------------
@@ -103,61 +149,22 @@ ReplayWorld::ReplayWorld(net::EventLoop& loop,
                          const record::RecordStore& store,
                          const SessionConfig& config,
                          const replay::OriginServerSet::Options& options,
-                         int load_index) {
-  util::Rng rng = session_load_rng(config, load_index);
+                         int load_index)
+    : ReplayWorld(loop, store, config, options,
+                  session_load_rng(config, load_index)) {}
 
-  fabric_ = std::make_unique<net::Fabric>(loop);
-
-  // Fault plan for this load: the spec bound to a seed forked from the
-  // load RNG (fork is const, so a fault-free session draws nothing extra).
-  const fault::FaultPlan plan{config.fault, rng.fork("fault-plan").next()};
-
-  // ReplayShell: one server per recorded (IP, port) — or the
-  // single-server ablation — plus a local DNS (dnsmasq equivalent). The
-  // session-level congestion-control override reaches both flow ends.
-  replay::OriginServerSet::Options origin_options =
-      session_origin_options(config, options);
-  if (plan.active()) {
-    origin_options.fault = plan;
-  }
-  servers_ = std::make_unique<replay::OriginServerSet>(*fabric_, store,
-                                                       origin_options);
-
-  const net::Ipv4 dns_ip = fabric_->allocate_server_ip();
-  dns_server_ = std::make_unique<net::DnsServer>(
-      *fabric_, net::Address{dns_ip, net::kDnsPort}, servers_->dns_table());
-  dns_server_->set_tracer(config.tracer, config.trace_session);
-  if (plan.spec().dns.any()) {
-    dns_server_->set_fault_hook(
-        [plan](std::uint64_t query_index) { return plan.dns_query_fault(query_index); });
-  }
-
-  // Fault elements sit innermost (application side, chain index 0): the
-  // flap blackhole and corruption hit browser traffic before any shell.
-  if (plan.spec().flap.has_value()) {
-    const auto& flap = *plan.spec().flap;
-    auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
-                                              flap.offset);
-    box->set_tracer(config.tracer, config.trace_session);
-    fabric_->chain().push_back(std::move(box));
-  }
-  if (plan.spec().corrupt.has_value()) {
-    auto box = std::make_unique<net::CorruptBox>(plan.plan_seed(),
-                                                 plan.spec().corrupt->rate);
-    box->set_tracer(config.tracer, config.trace_session, &loop);
-    fabric_->chain().push_back(std::move(box));
-  }
-
-  // Nested shells between the application and the replayed servers.
-  apply_shells(*fabric_, config.shells, config.host, rng, config.tracer,
-               config.trace_session);
-
-  browser_ = std::make_unique<web::Browser>(*fabric_, dns_server_->address(),
-                                            session_browser_config(config),
-                                            rng.fork("browser"));
-}
-
-ReplayWorld::~ReplayWorld() = default;
+// The fault plan's seed forks from the load RNG (fork is const, so a
+// fault-free session draws nothing extra); the shells take the load RNG
+// itself, and the browser its "browser" fork.
+ReplayWorld::ReplayWorld(net::EventLoop& loop,
+                         const record::RecordStore& store,
+                         const SessionConfig& config,
+                         const replay::OriginServerSet::Options& options,
+                         const util::Rng& rng)
+    : namespace_{loop, store, config, options,
+                 rng.fork("fault-plan").next(), rng, config.trace_session},
+      browser_{namespace_.fabric(), namespace_.dns(),
+               session_browser_config(config), rng.fork("browser")} {}
 
 web::BrowserConfig scaled_browser(const web::BrowserConfig& base,
                                   const HostProfile& host) {

@@ -10,6 +10,8 @@
 #include "core/shells.hpp"
 #include "corpus/live_web.hpp"
 #include "fault/fault.hpp"
+#include "net/dns.hpp"
+#include "net/fabric.hpp"
 #include "record/store.hpp"
 #include "replay/origin_servers.hpp"
 #include "util/statistics.hpp"
@@ -23,20 +25,15 @@ struct SessionConfig {
   HostProfile host{};
   web::BrowserConfig browser{};
   std::uint64_t seed{1};
-  /// Congestion-controller registry name applied to *both* ends of every
-  /// flow in the session (browser connections and replayed origin
-  /// servers). Empty = leave whatever `browser.tcp` / server options say,
-  /// i.e. the Reno default. Asymmetric setups configure the sides
-  /// directly instead of using this knob.
-  std::string congestion_control{};
-  /// Mixed-fleet variant of the knob above (the ROADMAP's per-flow CC
-  /// heterogeneity): when non-empty, browser connection k runs
-  /// cc_fleet[k % size()] (per-connection-index, opening order) and
-  /// replayed origin server j serves under cc_fleet[j % size()]
-  /// (per-origin, spawn order) — e.g. {"bbr", "cubic"} alternates
-  /// controllers across a shared bottleneck. Takes precedence over
-  /// `congestion_control`.
-  std::vector<std::string> cc_fleet;
+  /// Congestion controllers (registry names) for *both* ends of every flow
+  /// in the session: browser connection k runs controllers[k % size()]
+  /// (per-connection index, opening order) and replayed origin server j
+  /// serves under controllers[j % size()] (per-origin, spawn order). One
+  /// entry = every flow runs that controller; {"bbr", "cubic"} alternates
+  /// controllers across a shared bottleneck. Empty = leave whatever
+  /// `browser.tcp` / server options say, i.e. the Reno default.
+  /// Asymmetric setups configure the sides directly instead.
+  std::vector<std::string> controllers;
   /// Deterministic fault injection for this session (default: none). Each
   /// load binds the spec to a plan seed forked from its load RNG, drives
   /// the link/origin/DNS injectors with it, and maps the spec's client
@@ -66,49 +63,66 @@ class WatchdogError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Browser config for one session: host-scaled compute, plus the
-/// session-level congestion-control override (single controller or mixed
-/// fleet) when set.
+/// Browser config for one session: host-scaled compute, the session's
+/// trace tag and controller list, and the fault plan's client policy.
 web::BrowserConfig session_browser_config(const SessionConfig& config);
-
-/// Replay origin-server options for one session: `base` with the
-/// session-level congestion-control override applied to the server side
-/// of every flow.
-replay::OriginServerSet::Options session_origin_options(
-    const SessionConfig& config, const replay::OriginServerSet::Options& base);
 
 /// Root random stream for one load of a session: (seed, machine salt,
 /// load index) — fixed before any simulation work, per the ParallelRunner
 /// determinism contract.
 util::Rng session_load_rng(const SessionConfig& config, int load_index);
 
-/// One replay session's fully-materialized namespace stack — origin
-/// server farm, DNS, nested shells and browser — on a *caller-owned*
-/// event loop. ReplaySession::load_once builds one per load on a private
-/// loop; fleet::SessionMux multiplexes many of them onto a shared loop
-/// (each world is its own connection namespace: worlds share nothing but
-/// the loop, so sessions cannot alias each other's sockets or timers).
+/// ReplayShell's namespace on a *caller-owned* event loop: one origin
+/// server per recorded (IP, port) (or the single-server ablation), a DNS
+/// server, the fault plan's injectors and the nested shells. Browsers are
+/// added by the owner: ReplayWorld adds one, fleet::SessionMux one per
+/// session — into a namespace of its own (isolated mode) or into one
+/// namespace shared by the whole fleet (shared world). Every namespace,
+/// solo or shared, is built here, so a fault spec or shell stack means the
+/// same thing in both.
+class ReplayNamespace {
+ public:
+  /// The three inputs a solo load and a shared world set differently: the
+  /// fault plan's seed, the stream the shells fork from, and the trace
+  /// session the infrastructure logs under (-1 = shared by every session).
+  ReplayNamespace(net::EventLoop& loop, const record::RecordStore& store,
+                  const SessionConfig& config,
+                  const replay::OriginServerSet::Options& options,
+                  std::uint64_t fault_plan_seed, const util::Rng& shell_rng,
+                  std::int32_t trace_session);
+
+  ReplayNamespace(const ReplayNamespace&) = delete;
+  ReplayNamespace& operator=(const ReplayNamespace&) = delete;
+
+  [[nodiscard]] net::Fabric& fabric() { return fabric_; }
+  [[nodiscard]] net::Address dns() const { return dns_server_.address(); }
+
+ private:
+  fault::FaultPlan plan_;
+  net::Fabric fabric_;
+  replay::OriginServerSet servers_;
+  net::DnsServer dns_server_;
+};
+
+/// One replay load's world: a ReplayNamespace of its own plus the browser,
+/// both drawing from the load's random stream. ReplaySession::load_once
+/// builds one per load on a private loop.
 class ReplayWorld {
  public:
   ReplayWorld(net::EventLoop& loop, const record::RecordStore& store,
               const SessionConfig& config,
               const replay::OriginServerSet::Options& options, int load_index);
-  ~ReplayWorld();
 
-  ReplayWorld(const ReplayWorld&) = delete;
-  ReplayWorld& operator=(const ReplayWorld&) = delete;
-
-  [[nodiscard]] web::Browser& browser() { return *browser_; }
-  [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
-  [[nodiscard]] const replay::OriginServerSet& servers() const {
-    return *servers_;
-  }
+  [[nodiscard]] web::Browser& browser() { return browser_; }
 
  private:
-  std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<replay::OriginServerSet> servers_;
-  std::unique_ptr<net::DnsServer> dns_server_;
-  std::unique_ptr<web::Browser> browser_;
+  ReplayWorld(net::EventLoop& loop, const record::RecordStore& store,
+              const SessionConfig& config,
+              const replay::OriginServerSet::Options& options,
+              const util::Rng& rng);
+
+  ReplayNamespace namespace_;
+  web::Browser browser_;  // declared last: torn down before its namespace
 };
 
 /// ReplayShell driver: loads a page from a recorded site, optionally under

@@ -17,7 +17,7 @@ LinkShellSpec LinkShellSpec::constant_rate_mbps(double up_mbps, double down_mbps
 }
 
 void apply_shells(net::Fabric& fabric, const std::vector<ShellSpec>& shells,
-                  const HostProfile& host, util::Rng& rng,
+                  const HostProfile& host, const util::Rng& rng,
                   obs::Tracer* tracer, std::int32_t trace_session) {
   // Innermost shell (last in command-line order) is nearest the app, so it
   // must be pushed first (chain index 0 is the application side).

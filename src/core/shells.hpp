@@ -49,7 +49,7 @@ using ShellSpec = std::variant<DelayShellSpec, LinkShellSpec, LossShellSpec>;
 /// When `tracer` is set, every link shell records queue events into it,
 /// labeled "shell<i>/up|down" with i the shell's command-line index.
 void apply_shells(net::Fabric& fabric, const std::vector<ShellSpec>& shells,
-                  const HostProfile& host, util::Rng& rng,
+                  const HostProfile& host, const util::Rng& rng,
                   obs::Tracer* tracer = nullptr,
                   std::int32_t trace_session = 0);
 

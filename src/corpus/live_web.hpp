@@ -33,7 +33,8 @@ struct LiveWebConfig {
   double variability_sigma{0.18};
   /// Transport knobs for every live-web origin's accepted connections
   /// (notably the congestion controller shaping response bytes).
-  /// core::SessionConfig::congestion_control overrides the name here.
+  /// A one-entry core::SessionConfig::controllers list overrides the name
+  /// here.
   net::TcpConnection::Config tcp{};
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace mahimahi::experiment {
@@ -337,10 +336,6 @@ std::string Report::to_bench_json() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-bool Report::write_file(const std::string& path, const std::string& content) {
-  return util::atomic_write_file(path, content);
 }
 
 }  // namespace mahimahi::experiment

@@ -131,11 +131,6 @@ class Report {
   /// The repo-wide "mahimahi-bench-v1" perf-row schema (BENCH_*.json):
   /// median PLT, queue p95 and Jain rows per cell, diffable across PRs.
   [[nodiscard]] std::string to_bench_json() const;
-
-  /// Write `content` to `path` atomically (temp + fsync + rename — a
-  /// crash never leaves a half-written artifact); warns on stderr and
-  /// returns false on failure (bench/tool convention).
-  static bool write_file(const std::string& path, const std::string& content);
 };
 
 }  // namespace mahimahi::experiment

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "util/atomic_file.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 
@@ -49,11 +50,7 @@ core::SessionConfig cell_session_config(const Cell& cell,
     config.browser.max_connections_per_origin = cell.shell.conns;
   }
   config.deadline = deadline;
-  if (cell.cc.fleet.size() == 1) {
-    config.congestion_control = cell.cc.fleet.front();
-  } else {
-    config.cc_fleet = cell.cc.fleet;
-  }
+  config.controllers = cell.cc.fleet;
   config.fault = cell.fault.fault;
   return config;
 }
@@ -359,10 +356,10 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
                                 cell.cell_seed};
       const std::string base =
           options.trace_dir + "/cell" + std::to_string(cell.index);
-      Report::write_file(base + ".trace.json",
-                         obs::to_chrome_trace(meta, traces));
-      Report::write_file(base + ".har", obs::to_har(meta, traces));
-      Report::write_file(base + ".csv", obs::to_csv(meta, traces));
+      util::atomic_write_file(base + ".trace.json",
+                              obs::to_chrome_trace(meta, traces));
+      util::atomic_write_file(base + ".har", obs::to_har(meta, traces));
+      util::atomic_write_file(base + ".csv", obs::to_csv(meta, traces));
     }
   };
 
@@ -423,12 +420,16 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
               cell_net.live_delay_shell)] =
               core::DelayShellSpec{live_one_way_delay(cell, task.load_index)};
         }
+        session_config.tracer = task_tracer;
+        std::vector<fleet::SessionOutcome> sessions;
         if (cell.fleet.sessions > 1) {
           // Offered-load cell: one load = one shared-world fleet, every
           // user contending in the same namespace. The whole fleet is one
           // indivisible simulation under one task, seeded from (load_seed,
           // load index) — deterministic at any thread count, like every
-          // other task. The watchdog deadline covers the whole mux.
+          // other task. The watchdog deadline covers the whole mux, and
+          // the whole mux traces into this task's one buffer, sessions
+          // told apart by their fleet index (shared infra = -1).
           fleet::MuxConfig mux_config;
           mux_config.fleet_seed =
               util::Rng{cell.load_seed}
@@ -436,10 +437,6 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
                   .next();
           mux_config.stagger = cell.fleet.stagger;
           mux_config.session = std::move(session_config);
-          // A shared-world fleet is one indivisible simulation: the whole
-          // mux traces into this task's one buffer, sessions told apart by
-          // their fleet index (shared infra = -1).
-          mux_config.session.tracer = task_tracer;
           mux_config.origin = cell_origin_options(cell);
           mux_config.shared_world = true;
           fleet::SessionMux mux{entry.store, entry.site.primary_url(),
@@ -447,39 +444,28 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
           for (int s = 0; s < cell.fleet.sessions; ++s) {
             mux.add_session(s);
           }
-          for (const fleet::SessionOutcome& session : mux.run()) {
-            outcome.plts.push_back(session.plt_ms);
-            outcome.oks.push_back(session.success);
-            outcome.degraded.push_back(session.degraded_plt_ms);
-            outcome.failed_objects.push_back(session.objects_failed);
-            outcome.retries.push_back(session.retries);
-            outcome.timeouts.push_back(session.timeouts);
-          }
-          outcome.trace = tracer.take();
-          break;
-        }
-        session_config.tracer = task_tracer;
-        web::PageLoadResult result;
-        if (cell.shell.origins == Origins::kLive) {
+          sessions = mux.run();
+        } else if (cell.shell.origins == Origins::kLive) {
           // The live web itself: the same site, no recording in the path.
           const core::LiveWebSession live{entry.site, corpus::LiveWebConfig{},
                                           session_config};
-          result = live.load_outcome(task.load_index).result;
+          sessions.push_back(fleet::session_outcome(
+              live.load_outcome(task.load_index).result));
         } else {
           const core::ReplaySession session{entry.store, session_config,
                                             cell_origin_options(cell)};
-          result = session.load_once(entry.site.primary_url(),
-                                     task.load_index);
+          sessions.push_back(fleet::session_outcome(
+              session.load_once(entry.site.primary_url(), task.load_index)));
         }
         outcome.trace = tracer.take();
-        outcome.plts.push_back(to_ms(result.page_load_time));
-        outcome.oks.push_back(result.success ? 1 : 0);
-        outcome.degraded.push_back(to_ms(result.degraded_page_load_time));
-        outcome.failed_objects.push_back(
-            static_cast<std::uint32_t>(result.objects_failed));
-        outcome.retries.push_back(static_cast<std::uint32_t>(result.retries));
-        outcome.timeouts.push_back(
-            static_cast<std::uint32_t>(result.timeouts));
+        for (const fleet::SessionOutcome& session : sessions) {
+          outcome.plts.push_back(session.plt_ms);
+          outcome.oks.push_back(session.success);
+          outcome.degraded.push_back(session.degraded_plt_ms);
+          outcome.failed_objects.push_back(session.objects_failed);
+          outcome.retries.push_back(session.retries);
+          outcome.timeouts.push_back(session.timeouts);
+        }
         break;
       } catch (const core::WatchdogError& e) {
         // A watchdog trip is deterministic — the simulation ran out of
@@ -655,8 +641,8 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
     const obs::TraceMeta meta{spec.name, "runner", -1, spec.seed};
     std::vector<obs::LoadTrace> runner_trace;
     runner_trace.push_back(obs::LoadTrace{0, std::move(events)});
-    Report::write_file(options.journal_dir + "/events.csv",
-                       obs::to_csv(meta, runner_trace));
+    util::atomic_write_file(options.journal_dir + "/events.csv",
+                            obs::to_csv(meta, runner_trace));
   }
 
   return report;

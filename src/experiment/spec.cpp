@@ -746,6 +746,11 @@ void validate_spec(const ExperimentSpec& spec) {
                                        "' cannot be injected into the "
                                        "live web");
       }
+      for (const auto& cc : spec.ccs) {
+        require(cc.fleet.size() == 1, live + "cc '" + cc.label +
+                                          "' is a controller fleet; the "
+                                          "live web runs one controller");
+      }
     }
     for (const auto& layer : shell.layers) {
       switch (layer.kind) {

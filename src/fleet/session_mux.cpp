@@ -4,9 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "net/dns.hpp"
-#include "net/element.hpp"
-#include "net/fabric.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
 
@@ -31,6 +28,9 @@ void append_outcome_line(std::string& out, const SessionOutcome& o) {
   out += buffer;
 }
 
+/// Safety valve forwarded to the loop (see EventLoop::set_event_limit).
+constexpr std::size_t kEventLimit = 2'000'000'000;
+
 /// Session i's seed: forked from the fleet seed by global index alone —
 /// the (fleet_seed, session_index) contract. Removing or re-sharding any
 /// other session cannot disturb this value.
@@ -41,6 +41,20 @@ std::uint64_t derive_session_seed(std::uint64_t fleet_seed, int index) {
 
 }  // namespace
 
+SessionOutcome session_outcome(const web::PageLoadResult& result) {
+  SessionOutcome o;
+  o.success = result.success ? 1 : 0;
+  o.plt_ms = to_ms(result.page_load_time);
+  o.objects_loaded = static_cast<std::uint32_t>(result.objects_loaded);
+  o.objects_failed = static_cast<std::uint32_t>(result.objects_failed);
+  o.connections_opened = static_cast<std::uint32_t>(result.connections_opened);
+  o.bytes_downloaded = result.bytes_downloaded;
+  o.retries = static_cast<std::uint32_t>(result.retries);
+  o.timeouts = static_cast<std::uint32_t>(result.timeouts);
+  o.degraded_plt_ms = to_ms(result.degraded_page_load_time);
+  return o;
+}
+
 std::string serialize_outcomes(const std::vector<SessionOutcome>& outcomes) {
   std::string out;
   out.reserve(outcomes.size() * 96);
@@ -50,83 +64,20 @@ std::string serialize_outcomes(const std::vector<SessionOutcome>& outcomes) {
   return out;
 }
 
-/// The one namespace every session of a shared-world mux lives in: one
-/// fabric, one shell stack, one origin-server farm, one DNS. Browsers are
-/// per-session; everything they contend for is here.
-struct SessionMux::SharedWorld {
-  /// The shared world's fault plan forks from the fleet seed, like its
-  /// shells: faults belong to the world, not to any one user, so every
-  /// session observes the same flap/crash/DNS schedule regardless of
-  /// sharding (a shared world never splits across muxes).
-  static std::uint64_t fault_plan_seed(const MuxConfig& config) {
-    util::Rng rng{config.fleet_seed ^ config.session.host.seed_salt};
-    return rng.fork("fault-plan").next();
-  }
-
-  static replay::OriginServerSet::Options origin_options(
-      const MuxConfig& config, const fault::FaultPlan& plan) {
-    // Shared infrastructure — origin servers, DNS, shells, fault boxes —
-    // belongs to no one session: its trace events carry session -1.
-    core::SessionConfig shared_session = config.session;
-    shared_session.trace_session = -1;
-    replay::OriginServerSet::Options options =
-        core::session_origin_options(shared_session, config.origin);
-    if (plan.active()) {
-      options.fault = plan;
-    }
-    return options;
-  }
-
-  SharedWorld(net::EventLoop& loop, const record::RecordStore& store,
-              const MuxConfig& config)
-      : plan{config.session.fault, fault_plan_seed(config)},
-        fabric{loop},
-        servers{fabric, store, origin_options(config, plan)},
-        dns_server{fabric,
-                   net::Address{fabric.allocate_server_ip(), net::kDnsPort},
-                   servers.dns_table()} {
-    dns_server.set_tracer(config.session.tracer, -1);
-    if (plan.spec().dns.any()) {
-      dns_server.set_fault_hook([p = plan](std::uint64_t query_index) {
-        return p.dns_query_fault(query_index);
-      });
-    }
-    // Fault elements sit innermost, before any shell — same layering as
-    // ReplayWorld, so a fault spec means the same thing in both modes.
-    if (plan.spec().flap.has_value()) {
-      const auto& flap = *plan.spec().flap;
-      auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
-                                                flap.offset);
-      box->set_tracer(config.session.tracer, -1);
-      fabric.chain().push_back(std::move(box));
-    }
-    if (plan.spec().corrupt.has_value()) {
-      auto box = std::make_unique<net::CorruptBox>(
-          plan.plan_seed(), plan.spec().corrupt->rate);
-      box->set_tracer(config.session.tracer, -1, &loop);
-      fabric.chain().push_back(std::move(box));
-    }
-    // The shared stack's randomness forks from the fleet seed, not from
-    // any session: shells belong to the world, not to a user.
-    util::Rng rng{config.fleet_seed ^ config.session.host.seed_salt};
-    util::Rng shell_rng = rng.fork("shared-world-shells");
-    core::apply_shells(fabric, config.session.shells, config.session.host,
-                       shell_rng, config.session.tracer, -1);
-  }
-
-  fault::FaultPlan plan;
-  net::Fabric fabric;
-  replay::OriginServerSet servers;
-  net::DnsServer dns_server;
-};
-
 SessionMux::SessionMux(const record::RecordStore& store, std::string url,
                        MuxConfig config)
     : store_{store}, url_{std::move(url)}, config_{std::move(config)} {
   MAHI_ASSERT_MSG(config_.stagger >= 0, "fleet stagger must be >= 0");
-  loop_.set_event_limit(config_.event_limit);
+  loop_.set_event_limit(kEventLimit);
   if (config_.shared_world) {
-    shared_ = std::make_unique<SharedWorld>(loop_, store_, config_);
+    // The shared namespace belongs to no one session: its fault plan and
+    // shells fork from the fleet seed, so every session observes the same
+    // flap/crash/DNS schedule (a shared world never splits across muxes),
+    // and its trace events carry session -1.
+    const util::Rng rng{config_.fleet_seed ^ config_.session.host.seed_salt};
+    shared_ = std::make_unique<core::ReplayNamespace>(
+        loop_, store_, config_.session, config_.origin,
+        rng.fork("fault-plan").next(), rng.fork("shared-world-shells"), -1);
   }
 }
 
@@ -150,32 +101,28 @@ void SessionMux::admit(Slot& slot) {
   ++live_;
   peak_live_ = std::max(peak_live_, live_);
   slot.clock = net::SessionClock{loop_, loop_.now()};
-  slot.outcome.session_index = slot.global_index;
-  slot.outcome.start_ms = to_ms(loop_.now());
 
   core::SessionConfig session = config_.session;
   session.seed = slot.session_seed;
   // Trace attribution: this session's events carry its global fleet index
-  // (shared infrastructure logs as -1; see SharedWorld).
+  // (shared infrastructure logs as -1).
   session.trace_session = slot.global_index;
-
-  auto on_done = [this, &slot](web::PageLoadResult result) {
-    complete(slot, std::move(result));
-  };
-  if (config_.shared_world) {
-    // Shared world: this session is one more user of the common
-    // namespace. Its randomness still forks from its own seed, so the
-    // user population is reproducible independent of arrival interleaving.
-    util::Rng rng = core::session_load_rng(session, 0);
-    slot.browser = std::make_unique<web::Browser>(
-        shared_->fabric, shared_->dns_server.address(),
-        core::session_browser_config(session), rng.fork("browser"));
-    slot.browser->load(url_, std::move(on_done));
-  } else {
-    slot.world = std::make_unique<core::ReplayWorld>(loop_, store_, session,
-                                                     config_.origin, 0);
-    slot.world->browser().load(url_, std::move(on_done));
+  // The session's randomness forks from its own seed in both modes, so
+  // the user population is reproducible independent of arrival
+  // interleaving; an isolated namespace is built like ReplayWorld's.
+  const util::Rng rng = core::session_load_rng(session, 0);
+  if (!config_.shared_world) {
+    slot.world = std::make_unique<core::ReplayNamespace>(
+        loop_, store_, session, config_.origin, rng.fork("fault-plan").next(),
+        rng, session.trace_session);
   }
+  core::ReplayNamespace& world = config_.shared_world ? *shared_ : *slot.world;
+  slot.browser = std::make_unique<web::Browser>(
+      world.fabric(), world.dns(), core::session_browser_config(session),
+      rng.fork("browser"));
+  slot.browser->load(url_, [this, &slot](web::PageLoadResult result) {
+    complete(slot, std::move(result));
+  });
 }
 
 void SessionMux::complete(Slot& slot, web::PageLoadResult result) {
@@ -192,18 +139,10 @@ void SessionMux::complete(Slot& slot, web::PageLoadResult result) {
   MAHI_ASSERT_MSG(result.started_at == slot.clock.origin(),
                   "session " << slot.global_index
                              << " load started off its admission time");
-  SessionOutcome& o = slot.outcome;
-  o.success = result.success ? 1 : 0;
-  o.plt_ms = to_ms(result.page_load_time);
-  o.finish_ms = to_ms(loop_.now());
-  o.objects_loaded = static_cast<std::uint32_t>(result.objects_loaded);
-  o.objects_failed = static_cast<std::uint32_t>(result.objects_failed);
-  o.connections_opened =
-      static_cast<std::uint32_t>(result.connections_opened);
-  o.bytes_downloaded = result.bytes_downloaded;
-  o.retries = static_cast<std::uint32_t>(result.retries);
-  o.timeouts = static_cast<std::uint32_t>(result.timeouts);
-  o.degraded_plt_ms = to_ms(result.degraded_page_load_time);
+  slot.outcome = session_outcome(result);
+  slot.outcome.session_index = slot.global_index;
+  slot.outcome.start_ms = to_ms(slot.clock.origin());
+  slot.outcome.finish_ms = to_ms(loop_.now());
   if (config_.shared_world) {
     // Retire the browser once the loop is past its frames: destroying it
     // inside its own completion callback would unwind into freed state.

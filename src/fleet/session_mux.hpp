@@ -37,6 +37,12 @@ struct SessionOutcome {
   double degraded_plt_ms{0};
 };
 
+/// The fields of a SessionOutcome one page load determines — everything
+/// but the session index and the fleet-clock times. The one conversion:
+/// the mux applies it to every session, the experiment engine to solo
+/// loads.
+SessionOutcome session_outcome(const web::PageLoadResult& result);
+
 /// One line per session, fixed precision, in session-index order — the
 /// byte-comparison payload of the fleet selfcheck and determinism tests.
 std::string serialize_outcomes(const std::vector<SessionOutcome>& outcomes);
@@ -66,8 +72,6 @@ struct MuxConfig {
   ///   deterministic as a whole, but its sessions are not individually
   ///   relocatable, so it must never be split across muxes.
   bool shared_world{false};
-  /// Safety valve forwarded to the loop (see EventLoop::set_event_limit).
-  std::size_t event_limit{2'000'000'000};
 };
 
 /// Multiplexes many independent replay sessions onto ONE event loop — the
@@ -76,14 +80,15 @@ struct MuxConfig {
 /// one SessionOutcome per session in global-index order.
 ///
 /// Isolation contract (isolated mode): a session's world is its own
-/// core::ReplayWorld — its own fabric (socket namespace), server farm,
-/// DNS and browser — created on admission. Worlds share nothing but the
-/// loop; event ids are (slot, generation)-validated, so one session
-/// cancelling its timers can never touch another's. The only cross-session
-/// coupling is the loop's tie-break order for same-timestamp events, which
-/// no simulation result depends on. Hence: per-session results are a pure
-/// function of (fleet_seed, session_index, session template), regardless
-/// of which mux — or how many sibling sessions — a session runs with.
+/// core::ReplayNamespace — its own fabric (socket namespace), server farm,
+/// DNS and shells — plus its browser, created on admission. Worlds share
+/// nothing but the loop; event ids are (slot, generation)-validated, so
+/// one session cancelling its timers can never touch another's. The only
+/// cross-session coupling is the loop's tie-break order for same-timestamp
+/// events, which no simulation result depends on. Hence: per-session
+/// results are a pure function of (fleet_seed, session_index, session
+/// template), regardless of which mux — or how many sibling sessions — a
+/// session runs with.
 class SessionMux {
  public:
   /// `url` is loaded once per session from `store` (shared, read-only).
@@ -116,19 +121,19 @@ class SessionMux {
     int global_index{0};
     Microseconds start_at{0};
     std::uint64_t session_seed{0};
-    /// Isolated mode: the session's whole world. Worlds are torn down
-    /// together after the loop drains — never mid-run, because packets in
-    /// flight hold scheduled events that reference the world's elements.
-    std::unique_ptr<core::ReplayWorld> world;
-    /// Shared-world mode: only the browser is per-session.
+    /// Isolated mode: the session's own namespace. Namespaces are torn
+    /// down together after the loop drains — never mid-run, because
+    /// packets in flight hold scheduled events that reference their
+    /// elements.
+    std::unique_ptr<core::ReplayNamespace> world;
+    /// The session's browser, in both modes. Declared after `world`, so
+    /// it is torn down first; shared mode retires it once its load is
+    /// done.
     std::unique_ptr<web::Browser> browser;
     net::SessionClock clock{};
     SessionOutcome outcome{};
     bool done{false};
   };
-
-  /// The shared namespace (shared_world mode only).
-  struct SharedWorld;
 
   void admit(Slot& slot);
   void complete(Slot& slot, web::PageLoadResult result);
@@ -137,7 +142,8 @@ class SessionMux {
   std::string url_;
   MuxConfig config_;
   net::EventLoop loop_;
-  std::unique_ptr<SharedWorld> shared_;
+  /// The one namespace every session lives in (shared_world mode only).
+  std::unique_ptr<core::ReplayNamespace> shared_;
   std::deque<Slot> slots_;  // stable addresses: admission events hold Slot&
   std::size_t live_{0};
   std::size_t peak_live_{0};

@@ -13,8 +13,8 @@ namespace mahimahi::util {
 ///
 /// Returns false (after a warning on stderr naming the path and errno)
 /// when any step fails; a failed attempt unlinks its temporary file. This
-/// matches the Report::write_file / PerfReport::write tool convention, so
-/// every artifact writer in the repo can call it directly.
+/// matches the PerfReport::write tool convention, so every artifact
+/// writer in the repo calls it directly.
 bool atomic_write_file(const std::string& path, const std::string& content);
 
 }  // namespace mahimahi::util

@@ -301,7 +301,7 @@ core::SessionConfig reference_config(const Cell& cell) {
   core::SessionConfig config;
   config.seed = cell.load_seed;
   config.shells = materialize_cell(cell).shells;
-  config.congestion_control = cell.cc.fleet.front();
+  config.controllers = cell.cc.fleet;
   return config;
 }
 

@@ -270,6 +270,18 @@ TEST(SpecParse, StackTokenErrorsAreTyped) {
                std::invalid_argument);
   EXPECT_THROW(parse_spec("fleet 4\nshell web origins=live\n"),
                std::invalid_argument);
+  // A controller fleet would rotate on the browser only: the live web's
+  // origins run one controller.
+  try {
+    parse_spec("cc mixed 1xbbr+2xcubic\nshell web origins=live\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("shell 'web' (origins=live): cc 'mixed'"),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_NO_THROW(parse_spec("cc bbr\nshell web origins=live\n"));
 }
 
 TEST(SpecParse, ClaimsParse) {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "corpus/site_generator.hpp"
+#include "obs/export.hpp"
 
 namespace mahimahi::fleet {
 namespace {
@@ -139,6 +142,50 @@ TEST(SessionMux, SharedWorldSessionsContend) {
   // And the contention itself is deterministic.
   const auto again = run_mux({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, config);
   EXPECT_EQ(serialize_outcomes(crowd), serialize_outcomes(again));
+}
+
+TEST(SessionMux, SharedWorldFaultsBelongToTheWorldAndAreDeterministic) {
+  // Every injector on the one shared namespace: the link flaps and
+  // corrupts, origins crash, DNS fails. The faults are the world's, so
+  // their trace events carry the shared-infrastructure session -1.
+  MuxConfig config = quick_config();
+  config.shared_world = true;
+  config.stagger = 2'000;
+  config.session.fault = fault::parse_fault_spec(
+      "flap:period=400ms,down=60ms,offset=20ms corrupt:rate=0.02 "
+      "crash:p=0.2 dns:fail=0.3");
+  const auto run_traced = [&config] {
+    obs::Tracer tracer;
+    MuxConfig traced = config;
+    traced.session.tracer = &tracer;
+    auto outcomes = run_mux({0, 1, 2, 3}, traced);
+    return std::make_pair(std::move(outcomes), tracer.take());
+  };
+  const auto [outcomes, trace] = run_traced();
+
+  std::set<std::string> injectors;
+  for (const obs::TraceEvent& e : trace.events) {
+    if (e.kind == obs::EventKind::kFaultInjected) {
+      EXPECT_EQ(e.session, -1) << e.label;
+      injectors.insert(e.label.substr(0, e.label.find('/')));
+    }
+  }
+  const std::set<std::string> every_injector{"corrupt", "dns", "flap",
+                                             "origin"};
+  EXPECT_EQ(injectors, every_injector);
+
+  // Every session finishes: cleanly, or with its failed objects counted.
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const SessionOutcome& o : outcomes) {
+    EXPECT_TRUE(o.success != 0 || o.objects_failed > 0) << o.session_index;
+    EXPECT_NEAR(o.finish_ms - o.start_ms, o.plt_ms, 1e-6);
+  }
+
+  const auto [again, again_trace] = run_traced();
+  EXPECT_EQ(serialize_outcomes(outcomes), serialize_outcomes(again));
+  const obs::TraceMeta meta{"mux", "shared-faults", 0, 5};
+  EXPECT_EQ(obs::to_csv(meta, {obs::LoadTrace{0, trace}}),
+            obs::to_csv(meta, {obs::LoadTrace{0, again_trace}}));
 }
 
 TEST(SessionMux, PeakLiveSessionsTracksOverlap) {

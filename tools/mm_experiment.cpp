@@ -60,8 +60,7 @@
 //                         artifacts are byte-identical to an uninterrupted
 //                         run at any thread count or shard split.
 //
-//   env: MAHI_EXP_LOADS caps loads-per-cell when --loads is absent;
-//        MAHI_THREADS sizes the shared pool, as everywhere in the repo.
+//   env: MAHI_THREADS sizes the shared pool, as everywhere in the repo.
 //
 // SIGINT/SIGTERM cancel gracefully: no new tasks start, in-flight ones
 // drain (their results still reach the journal), and the report is written
@@ -89,6 +88,7 @@
 
 #include "experiment/runner.hpp"
 #include "obs/profile.hpp"
+#include "util/atomic_file.hpp"
 #include "util/random.hpp"
 #include "util/strings.hpp"
 
@@ -203,15 +203,6 @@ void print_claims(const Report& report) {
   }
 }
 
-int env_loads() {
-  const char* value = std::getenv("MAHI_EXP_LOADS");
-  if (value == nullptr) {
-    return 0;
-  }
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : 0;
-}
-
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -317,15 +308,6 @@ int main(int argc, char** argv) {
     options.spec_fingerprint = spec_file_fingerprint(spec_path);
   }
 
-  // MAHI_EXP_LOADS is a *cap* (CI scale guard), never an amplifier; an
-  // explicit --loads wins over both it and the spec.
-  if (options.loads_override == 0) {
-    const int cap = env_loads();
-    if (cap > 0 && cap < spec.loads_per_cell) {
-      options.loads_override = cap;
-    }
-  }
-
   if (list) {
     print_cells(spec);
     return 0;
@@ -380,11 +362,12 @@ int main(int argc, char** argv) {
         json_path.empty() ? spec.name + ".json" : json_path;
     const std::string csv_out =
         csv_path.empty() ? spec.name + ".csv" : csv_path;
-    bool wrote = Report::write_file(json_out, report.to_json());
-    wrote = Report::write_file(csv_out, report.to_csv()) && wrote;
+    bool wrote = util::atomic_write_file(json_out, report.to_json());
+    wrote = util::atomic_write_file(csv_out, report.to_csv()) && wrote;
     if (!bench_json_path.empty()) {
       wrote =
-          Report::write_file(bench_json_path, report.to_bench_json()) && wrote;
+          util::atomic_write_file(bench_json_path, report.to_bench_json()) &&
+          wrote;
     }
     std::fprintf(stderr, "[experiment] wrote %s and %s\n", json_out.c_str(),
                  csv_out.c_str());
@@ -393,7 +376,7 @@ int main(int argc, char** argv) {
       // Wall-clock numbers: a diagnostic artifact, deliberately outside
       // the determinism-checked set (its bytes differ every run).
       std::fprintf(stderr, "%s", obs::Profiler::report().c_str());
-      if (Report::write_file("profile.json", obs::Profiler::to_json())) {
+      if (util::atomic_write_file("profile.json", obs::Profiler::to_json())) {
         std::fprintf(stderr,
                      "[experiment] wrote profile.json (wall-clock; "
                      "excluded from determinism checks)\n");
@@ -448,8 +431,8 @@ int main(int argc, char** argv) {
                   current, other.thread_count(), identical ? "yes" : "NO");
       if (!identical) {
         // Both sides of the divergence on disk, diffable.
-        Report::write_file(json_out + ".selfcheck-divergent",
-                           rerun.to_json());
+        util::atomic_write_file(json_out + ".selfcheck-divergent",
+                                rerun.to_json());
         return 1;
       }
     }
