@@ -16,16 +16,6 @@
 
 namespace mahimahi::bench {
 
-/// Integer knob from the environment (bench scale controls).
-inline int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return fallback;
-  }
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
 /// Host wall-clock stopwatch for speedup reporting (NOT simulated time).
 class WallTimer {
  public:

@@ -2,8 +2,8 @@
 // sustains when thousands of emulated users are multiplexed onto sharded
 // event loops (src/fleet/). Two measurements:
 //
-//   - capacity (isolated fleets): MAHI_FLEET_SESSIONS full page loads,
-//     each in its own connection namespace, sharded across the pool —
+//   - capacity (isolated fleets): 1000 full page loads, each in its own
+//     connection namespace, sharded across the pool —
 //     sessions/sec and page-loads/sec are the host-dependent throughput
 //     figures; p50/p95 PLT and peak concurrency are deterministic.
 //   - degradation (shared-world ladder): the same page loaded by fleets
@@ -18,12 +18,10 @@
 // count on a different-size pool and byte-compares the serialized
 // per-session reports; exit 1 on divergence.
 //
-// Scale knobs: MAHI_FLEET_SESSIONS (default 1000 — CI runs the default),
-//              MAHI_FLEET_SHARDS (default: pool thread count),
-//              MAHI_FLEET_STAGGER_US (arrival spacing, default 100 us —
-//              tight enough that the whole default fleet is concurrently
-//              in flight at peak).
-// Output:      BENCH_fleet.json (override with MAHI_FLEET_JSON).
+// Scale:  1000 sessions, one shard per pool thread, arrivals 100 us apart
+//         (tight enough that the whole fleet is concurrently in flight at
+//         peak).
+// Output: BENCH_fleet.json (override with MAHI_FLEET_JSON).
 
 #include <cstring>
 #include <string>
@@ -110,10 +108,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int sessions = env_int("MAHI_FLEET_SESSIONS", 1000);
-  const int shards = env_int("MAHI_FLEET_SHARDS", 0);
-  const Microseconds stagger =
-      static_cast<Microseconds>(env_int("MAHI_FLEET_STAGGER_US", 100));
+  constexpr int sessions = 1000;
+  constexpr int shards = 0;  // pool-sized
+  constexpr Microseconds stagger = 100;
 
   std::printf("=== fleet throughput: %d sessions, stagger %lld us ===\n",
               sessions, static_cast<long long>(stagger));

@@ -25,7 +25,7 @@
 // counts, export byte sizes and the heap rows are deterministic and
 // pinned at the default 0.05 band.
 //
-// Scale knobs: MAHI_OBS_LOADS (loads per scenario, default 6).
+// Scale: 6 loads per scenario.
 
 #include <atomic>
 #include <cstdint>
@@ -102,7 +102,7 @@ core::SessionConfig session_config() {
 }  // namespace
 
 int main() {
-  const int loads = env_int("MAHI_OBS_LOADS", 6);
+  constexpr int loads = 6;
   const experiment::RecordedSite page = recorded_page();
   const std::string url = page.site.primary_url();
 

@@ -56,10 +56,21 @@ corpus::LiveWebConfig session_live_web(const SessionConfig& config,
 
 /// Replay origin-server options for one namespace: the caller's `options`
 /// plus the session's controller list on the server side of every flow,
-/// the namespace's trace tag and its fault plan.
+/// the namespace's trace tag and its fault plan. Throws
+/// std::invalid_argument when the browser and the origins would speak
+/// different protocols (every object would fail to parse).
 replay::OriginServerSet::Options origin_options(
     const SessionConfig& config, replay::OriginServerSet::Options options,
     const fault::FaultPlan& plan, std::int32_t trace_session) {
+  const bool mux_browser =
+      config.browser.protocol == web::AppProtocol::kMultiplexed;
+  if (mux_browser != options.multiplexed) {
+    throw std::invalid_argument{
+        std::string{"protocol mismatch: BrowserConfig::protocol "} +
+        (mux_browser ? "mux" : "http11") +
+        " but OriginServerSet::Options::multiplexed " +
+        (options.multiplexed ? "true" : "false")};
+  }
   options.tcp.tracer = config.tracer;
   options.tcp.trace_session = trace_session;
   if (!config.controllers.empty()) {

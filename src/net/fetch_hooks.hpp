@@ -19,4 +19,14 @@ struct FetchHooks {
   std::function<void()> on_first_byte;
 };
 
+/// Calls `hook` if armed, disarming it first so it fires at most once
+/// (the call may re-enter the connection that owns the hook).
+inline void fire_once(std::function<void()>& hook) {
+  if (hook) {
+    auto fire = std::move(hook);
+    hook = nullptr;
+    fire();
+  }
+}
+
 }  // namespace mahimahi::net

@@ -7,11 +7,11 @@
 
 namespace mahimahi::net {
 
-// --- HttpServer ---------------------------------------------------------------
+// --- OriginServer -------------------------------------------------------------
 
-HttpServer::HttpServer(Fabric& fabric, Address local, Handler handler,
-                       Microseconds processing_delay,
-                       TcpConnection::Config config)
+OriginServer::OriginServer(Fabric& fabric, Address local, Handler handler,
+                           Microseconds processing_delay,
+                           TcpConnection::Config config)
     : fabric_{fabric},
       handler_{std::move(handler)},
       processing_delay_{processing_delay},
@@ -21,6 +21,22 @@ HttpServer::HttpServer(Fabric& fabric, Address local, Handler handler,
                 },
                 std::move(config)} {
   MAHI_ASSERT(handler_ != nullptr);
+}
+
+http::Response OriginServer::bad_request() {
+  http::Response bad;
+  bad.status = 400;
+  bad.reason = "Bad Request";
+  return bad;
+}
+
+// --- HttpServer ---------------------------------------------------------------
+
+HttpServer::HttpServer(Fabric& fabric, Address local, Handler handler,
+                       Microseconds processing_delay,
+                       TcpConnection::Config config)
+    : OriginServer{fabric, local, std::move(handler), processing_delay,
+                   std::move(config)} {
   workers_spawned_ = pool_.initial_workers;
 }
 
@@ -131,9 +147,7 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
       session->closing = true;
       MAHI_WARN("http-server") << "parse failure: "
                                << session->parser.error_message();
-      http::Response bad;
-      bad.status = 400;
-      bad.reason = "Bad Request";
+      http::Response bad = bad_request();
       bad.headers.add("Connection", "close");
       connection->send(http::to_framed_bytes(bad));
       connection->close();
@@ -142,73 +156,49 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
   }
   while (session->parser.has_message()) {
     const http::Request request = session->parser.pop();
-    ServerFault fault;
-    if (fault_hook_) {
-      fault = fault_hook_(requests_seen_);
-    }
-    ++requests_seen_;
-    if (fault.kind == ServerFault::Kind::kStall) {
-      // Accept-and-stall: the request is swallowed, no response ever comes,
-      // and the worker stays pinned (a hung Apache child).
-      ++faults_injected_;
-      continue;
-    }
-    const bool keep_alive = request.keep_alive();
-    std::string wire = handler_(request);
-    ++requests_served_;
-    const Microseconds delay = processing_delay_ + fault.extra_delay;
-    if (fault.kind == ServerFault::Kind::kCrash) {
-      // Crash mid-response: emit a prefix of the wire bytes, then RST.
-      // The crashed worker's slot is freed (the process died).
-      ++faults_injected_;
-      const double fraction = std::clamp(fault.fraction, 0.0, 1.0);
-      const auto cut = static_cast<std::size_t>(
-          static_cast<double>(wire.size()) * fraction);
-      wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
-      const std::weak_ptr<TcpConnection> weak = session->connection;
-      auto crash = [this, weak, session, wire = std::move(wire)]() mutable {
-        if (const auto conn = weak.lock()) {
-          conn->send(std::move(wire));
-          conn->abort();
-        }
-        release_worker(session);
-      };
-      if (delay > 0) {
-        fabric_.loop().schedule_in(delay, std::move(crash));
-      } else {
-        crash();
-      }
-      return;  // the connection is (about to be) gone
-    }
-    if (delay > 0) {
-      // Simulated server think time (first-byte latency); overlaps freely
-      // across requests.
-      const std::weak_ptr<TcpConnection> weak = session->connection;
-      fabric_.loop().schedule_in(
-          delay, [weak, wire = std::move(wire), keep_alive]() mutable {
-            if (const auto conn = weak.lock()) {
-              conn->send(std::move(wire));
-              if (!keep_alive) {
-                conn->close();
-              }
+    const bool served = serve(
+        request,
+        [weak = session->connection,
+         keep_alive = request.keep_alive()](std::string wire) {
+          if (const auto conn = weak.lock()) {
+            conn->send(std::move(wire));
+            if (!keep_alive) {
+              conn->close();
             }
-          });
-    } else {
-      connection->send(std::move(wire));
-      if (!keep_alive) {
-        connection->close();
-      }
+          }
+        },
+        [this, session](std::string prefix) {
+          // The crashed worker's slot is freed (the process died).
+          if (const auto conn = session->connection.lock()) {
+            conn->send(std::move(prefix));
+            conn->abort();
+          }
+          release_worker(session);
+        });
+    if (!served) {
+      return;
     }
   }
 }
 
 // --- HttpClientConnection -------------------------------------------------------
 
+std::string reset_error(TcpConnection::CloseReason reason) {
+  // Typed close reason from TCP: a deadline-driven resilience layer
+  // treats "server crashed" and "network unreachable" differently.
+  switch (reason) {
+    case TcpConnection::CloseReason::kSynTimeout:
+    case TcpConnection::CloseReason::kRetransmitExhausted:
+      return std::string{to_string(reason)};
+    default:
+      return "connection reset";
+  }
+}
+
 HttpClientConnection::HttpClientConnection(Fabric& fabric, Address server,
                                            ErrorCallback on_error,
                                            TcpConnection::Config config)
-    : fabric_{fabric},
-      on_error_{std::move(on_error)},
+    : on_error_{std::move(on_error)},
       client_{fabric, server,
               TcpConnection::Callbacks{
                   .on_connected =
@@ -231,19 +221,7 @@ HttpClientConnection::HttpClientConnection(Fabric& fabric, Address server,
                       },
                   .on_reset =
                       [this] {
-                        // Typed close reason from TCP: a deadline-driven
-                        // resilience layer treats "server crashed" and
-                        // "network unreachable" differently.
-                        switch (client_.connection().close_reason()) {
-                          case TcpConnection::CloseReason::kSynTimeout:
-                          case TcpConnection::CloseReason::kRetransmitExhausted:
-                            fail(std::string{to_string(
-                                client_.connection().close_reason())});
-                            break;
-                          default:
-                            fail("connection reset");
-                            break;
-                        }
+                        fail(reset_error(client_.connection().close_reason()));
                       }},
               config} {}
 
@@ -283,11 +261,7 @@ void HttpClientConnection::notify_connected() {
   // queue pre-connect or behind an outstanding response, and the latter
   // implies an established connection). Fire-once per hook set.
   for (PendingRequest& pending : queue_) {
-    if (pending.hooks.on_connected) {
-      auto connected = std::move(pending.hooks.on_connected);
-      pending.hooks.on_connected = nullptr;
-      connected();
-    }
+    fire_once(pending.hooks.on_connected);
   }
 }
 
@@ -308,12 +282,10 @@ void HttpClientConnection::maybe_send_next() {
 }
 
 void HttpClientConnection::on_data(std::string_view bytes) {
-  if (!bytes.empty() && outstanding_ > 0 && current_hooks_.on_first_byte) {
+  if (!bytes.empty() && outstanding_ > 0) {
     // First response bytes for the outstanding request (no pipelining, so
-    // any arriving data belongs to it). Fire once, then disarm.
-    auto first_byte = std::move(current_hooks_.on_first_byte);
-    current_hooks_.on_first_byte = nullptr;
-    first_byte();
+    // any arriving data belongs to it).
+    fire_once(current_hooks_.on_first_byte);
   }
   if (!bytes.empty()) {
     parser_.push(bytes);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,28 +28,23 @@ struct WorkerPool {
   Microseconds spawn_interval{25'000};
 };
 
-/// An HTTP/1.1 origin server running over simulated TCP. Each accepted
-/// connection gets a RequestParser; complete requests are answered by the
-/// handler in arrival order, honouring keep-alive. Both RecordShell's
-/// upstream origins (LiveWeb) and ReplayShell's origin servers are built
-/// on this. `processing_delay` is pure per-request latency (think time);
-/// connection concurrency is governed by the WorkerPool.
-class HttpServer {
+/// What an origin does with one parsed request, whatever the framing.
+/// HttpServer and mux::MuxServer supply only how a response and a crash
+/// go out on the wire; the fault verdict, think time and crash cut are
+/// this one pipeline, so a `crash`/`stall`/`slowstart` fault line means
+/// the same thing on both protocols. `processing_delay` is pure
+/// per-request latency (think time).
+class OriginServer {
  public:
   /// Maps a request to its framed response wire bytes — typically
   /// `http::to_framed_bytes(response)`, which serializes the response
   /// once, straight into the buffer the connection then sends from. Runs
-  /// once per complete request. MuxServer uses the same contract.
+  /// once per complete request.
   using Handler = std::function<std::string(const http::Request&)>;
 
-  /// `config` applies to every accepted connection — notably the
-  /// congestion controller serving this origin's responses.
-  HttpServer(Fabric& fabric, Address local, Handler handler,
-             Microseconds processing_delay = 0,
-             TcpConnection::Config config = {});
-
-  /// Install prefork-style concurrency limits. Call before traffic arrives.
-  void set_worker_pool(const WorkerPool& pool);
+  virtual ~OriginServer() = default;
+  OriginServer(const OriginServer&) = delete;
+  OriginServer& operator=(const OriginServer&) = delete;
 
   [[nodiscard]] Address address() const { return listener_.local_address(); }
   [[nodiscard]] std::uint64_t requests_served() const { return requests_served_; }
@@ -58,13 +54,104 @@ class HttpServer {
   [[nodiscard]] std::uint64_t total_accepted() const {
     return listener_.total_accepted();
   }
-  /// Connections that had to wait for a worker (starvation indicator).
-  [[nodiscard]] std::uint64_t worker_waits() const { return worker_waits_; }
   [[nodiscard]] std::uint64_t faults_injected() const { return faults_injected_; }
 
   /// Fault injection: consulted once per parsed request (indexed in parse
-  /// order, including requests that end up faulted). Null = no faults.
+  /// order, including requests that end up faulted; a malformed request
+  /// takes no index). Null = no faults.
   void set_fault_hook(ServerFaultHook hook) { fault_hook_ = std::move(hook); }
+
+ protected:
+  /// `config` applies to every accepted connection — notably the
+  /// congestion controller serving this origin's responses.
+  OriginServer(Fabric& fabric, Address local, Handler handler,
+               Microseconds processing_delay, TcpConnection::Config config);
+
+  /// Wires one accepted connection's callbacks (the framing's session).
+  virtual TcpConnection::Callbacks make_callbacks(
+      const std::shared_ptr<TcpConnection>& connection) = 0;
+
+  /// Serves one parsed request: takes the fault verdict (indexed in parse
+  /// order), swallows a stall, runs the handler, then — after think time
+  /// plus the fault's extra delay, or at once when that is zero — calls
+  /// `respond(wire)`, or on a crash `crash(prefix)` with a prefix of at
+  /// least one byte. Returns false after a crash: the connection is (about
+  /// to be) gone, so the caller stops reading its requests.
+  template <typename Respond, typename Crash>
+  bool serve(const http::Request& request, Respond respond, Crash crash) {
+    ServerFault fault;
+    if (fault_hook_) {
+      fault = fault_hook_(requests_seen_);
+    }
+    ++requests_seen_;
+    if (fault.kind == ServerFault::Kind::kStall) {
+      // Accept-and-stall: the request is swallowed and no response ever
+      // comes (a hung worker).
+      ++faults_injected_;
+      return true;
+    }
+    std::string wire = handler_(request);
+    ++requests_served_;
+    const Microseconds delay = processing_delay_ + fault.extra_delay;
+    const auto after_delay = [&](auto action) {
+      // Simulated server think time (first-byte latency); overlaps freely
+      // across requests.
+      if (delay > 0) {
+        fabric_.loop().schedule_in(delay, std::move(action));
+      } else {
+        action();
+      }
+    };
+    if (fault.kind == ServerFault::Kind::kCrash) {
+      // Crash mid-response: a prefix of the wire bytes, then RST.
+      ++faults_injected_;
+      const double fraction = std::clamp(fault.fraction, 0.0, 1.0);
+      const auto cut = static_cast<std::size_t>(
+          static_cast<double>(wire.size()) * fraction);
+      wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
+      after_delay([crash = std::move(crash), wire = std::move(wire)]() mutable {
+        crash(std::move(wire));
+      });
+      return false;
+    }
+    after_delay([respond = std::move(respond),
+                 wire = std::move(wire)]() mutable {
+      respond(std::move(wire));
+    });
+    return true;
+  }
+
+  /// The 400 answering a request that failed to parse.
+  [[nodiscard]] static http::Response bad_request();
+
+  Fabric& fabric_;
+
+ private:
+  Handler handler_;
+  Microseconds processing_delay_;
+  std::uint64_t requests_served_{0};
+  std::uint64_t requests_seen_{0};  // fault-hook index (includes faulted)
+  std::uint64_t faults_injected_{0};
+  ServerFaultHook fault_hook_;
+  TcpListener listener_;  // declared last: its callbacks reference the above
+};
+
+/// An HTTP/1.1 origin server running over simulated TCP. Each accepted
+/// connection gets a RequestParser; complete requests are answered by the
+/// handler in arrival order, honouring keep-alive. Both RecordShell's
+/// upstream origins (LiveWeb) and ReplayShell's origin servers are built
+/// on this. Connection concurrency is governed by the WorkerPool.
+class HttpServer final : public OriginServer {
+ public:
+  HttpServer(Fabric& fabric, Address local, Handler handler,
+             Microseconds processing_delay = 0,
+             TcpConnection::Config config = {});
+
+  /// Install prefork-style concurrency limits. Call before traffic arrives.
+  void set_worker_pool(const WorkerPool& pool);
+
+  /// Connections that had to wait for a worker (starvation indicator).
+  [[nodiscard]] std::uint64_t worker_waits() const { return worker_waits_; }
 
  private:
   struct Session {
@@ -76,7 +163,7 @@ class HttpServer {
   };
 
   TcpConnection::Callbacks make_callbacks(
-      const std::shared_ptr<TcpConnection>& connection);
+      const std::shared_ptr<TcpConnection>& connection) override;
   void on_data(const std::shared_ptr<Session>& session, std::string_view bytes);
   void drain_requests(const std::shared_ptr<Session>& session);
   void request_worker(const std::shared_ptr<Session>& session);
@@ -84,21 +171,18 @@ class HttpServer {
   void grant_workers();
   void arm_spawn_timer();
 
-  Fabric& fabric_;
-  Handler handler_;
-  Microseconds processing_delay_;
   WorkerPool pool_;
   int workers_spawned_{0};   // current pool size
   int workers_busy_{0};
   std::deque<std::shared_ptr<Session>> waiting_;
   EventLoop::EventId spawn_event_{0};
   std::uint64_t worker_waits_{0};
-  std::uint64_t requests_served_{0};
-  std::uint64_t requests_seen_{0};  // fault-hook index (includes faulted)
-  std::uint64_t faults_injected_{0};
-  ServerFaultHook fault_hook_;
-  TcpListener listener_;  // must outlive nothing: declared last
 };
+
+/// The error text both client connections report when TCP resets: the
+/// typed reason for a connect timeout or exhausted retransmits (the
+/// browser's retry policy matches on them), "connection reset" otherwise.
+std::string reset_error(TcpConnection::CloseReason reason);
 
 /// One HTTP/1.1 client connection over simulated TCP with keep-alive and
 /// request queuing (no pipelining: the next request goes out when the
@@ -147,7 +231,6 @@ class HttpClientConnection {
   void on_data(std::string_view bytes);
   void fail(const std::string& reason);
 
-  Fabric& fabric_;
   http::ResponseParser parser_;
   std::deque<PendingRequest> queue_;
   std::deque<ResponseCallback> in_flight_callbacks_;

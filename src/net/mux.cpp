@@ -105,16 +105,9 @@ std::optional<FrameView> FrameParser::next() {
 MuxServer::MuxServer(Fabric& fabric, Address local, Handler handler,
                      Microseconds processing_delay, std::size_t chunk_bytes,
                      TcpConnection::Config config)
-    : fabric_{fabric},
-      handler_{std::move(handler)},
-      processing_delay_{processing_delay},
-      chunk_bytes_{chunk_bytes},
-      listener_{fabric, local,
-                [this](const std::shared_ptr<TcpConnection>& c) {
-                  return make_callbacks(c);
-                },
-                std::move(config)} {
-  MAHI_ASSERT(handler_ != nullptr);
+    : OriginServer{fabric, local, std::move(handler), processing_delay,
+                   std::move(config)},
+      chunk_bytes_{chunk_bytes} {
   MAHI_ASSERT(chunk_bytes_ > 0);
 }
 
@@ -149,57 +142,34 @@ void MuxServer::on_data(const std::shared_ptr<Session>& session,
     if (frame->type != Frame::Type::kRequest) {
       continue;  // clients only send requests
     }
+    const std::uint32_t id = frame->stream_id;
     http::RequestParser request_parser;
     request_parser.push(frame->payload);
     if (request_parser.failed() || !request_parser.has_message()) {
-      MAHI_WARN("mux-server") << "bad request in stream " << frame->stream_id;
+      // Answered at once, outside the fault pipeline (no fault-hook
+      // index), as HttpServer answers a malformed request.
+      MAHI_WARN("mux-server") << "bad request in stream " << id;
+      start_response(session, id, http::to_framed_bytes(bad_request()));
       continue;
     }
-    ServerFault fault;
-    if (fault_hook_) {
-      fault = fault_hook_(requests_seen_);
-    }
-    ++requests_seen_;
-    if (fault.kind == ServerFault::Kind::kStall) {
-      // Accept-and-stall: the stream never sees a data frame.
-      ++faults_injected_;
-      continue;
-    }
-    std::string wire = handler_(request_parser.pop());
-    ++requests_served_;
-    const Microseconds delay = processing_delay_ + fault.extra_delay;
-    if (fault.kind == ServerFault::Kind::kCrash) {
-      // Crash mid-response: one partial data frame, then RST. Every other
-      // stream on the connection dies with it — shared-fate, as real.
-      ++faults_injected_;
-      const double fraction = std::clamp(fault.fraction, 0.0, 1.0);
-      const auto cut = static_cast<std::size_t>(
-          static_cast<double>(wire.size()) * fraction);
-      wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
-      auto crash = [session, id = frame->stream_id,
-                    wire = std::move(wire)]() mutable {
-        if (const auto conn = session->connection.lock()) {
-          conn->send(encode_frame_header(
-              id, Frame::Type::kData, static_cast<std::uint32_t>(wire.size())));
-          conn->send(std::move(wire));
-          conn->abort();
-        }
-      };
-      if (delay > 0) {
-        fabric_.loop().schedule_in(delay, std::move(crash));
-      } else {
-        crash();
-      }
-      return;  // the connection is (about to be) gone
-    }
-    if (delay > 0) {
-      fabric_.loop().schedule_in(
-          delay, [this, session, id = frame->stream_id,
-                  wire = std::move(wire)]() mutable {
-            start_response(session, id, std::move(wire));
-          });
-    } else {
-      start_response(session, frame->stream_id, std::move(wire));
+    const bool served = serve(
+        request_parser.pop(),
+        [this, session, id](std::string wire) {
+          start_response(session, id, std::move(wire));
+        },
+        [session, id](std::string prefix) {
+          // One partial data frame, then RST. Every other stream on the
+          // connection dies with it — shared-fate, as real.
+          if (const auto conn = session->connection.lock()) {
+            conn->send(encode_frame_header(
+                id, Frame::Type::kData,
+                static_cast<std::uint32_t>(prefix.size())));
+            conn->send(std::move(prefix));
+            conn->abort();
+          }
+        });
+    if (!served) {
+      return;
     }
   }
 }
@@ -248,8 +218,7 @@ void MuxServer::pump_writer(const std::shared_ptr<Session>& session) {
 MuxClientConnection::MuxClientConnection(Fabric& fabric, Address server,
                                          ErrorCallback on_error,
                                          TcpConnection::Config config)
-    : fabric_{fabric},
-      on_error_{std::move(on_error)},
+    : on_error_{std::move(on_error)},
       client_{fabric, server,
               TcpConnection::Callbacks{
                   .on_connected =
@@ -259,11 +228,7 @@ MuxClientConnection::MuxClientConnection(Fabric& fabric, Address server,
                         // handshake; later streams find connected_ set and
                         // never get the callback (warm connection).
                         for (auto& [id, stream] : streams_) {
-                          if (stream.hooks.on_connected) {
-                            auto cb = std::move(stream.hooks.on_connected);
-                            stream.hooks.on_connected = nullptr;
-                            cb();
-                          }
+                          fire_once(stream.hooks.on_connected);
                         }
                         for (auto& frame : queued_frames_) {
                           client_.connection().send(std::move(frame));
@@ -280,16 +245,7 @@ MuxClientConnection::MuxClientConnection(Fabric& fabric, Address server,
                       },
                   .on_reset =
                       [this] {
-                        switch (client_.connection().close_reason()) {
-                          case TcpConnection::CloseReason::kSynTimeout:
-                          case TcpConnection::CloseReason::kRetransmitExhausted:
-                            fail(std::string{to_string(
-                                client_.connection().close_reason())});
-                            break;
-                          default:
-                            fail("connection reset");
-                            break;
-                        }
+                        fail(reset_error(client_.connection().close_reason()));
                       }},
               std::move(config)} {}
 
@@ -340,10 +296,8 @@ void MuxClientConnection::on_data(std::string_view bytes) {
     }
     Stream& stream = it->second;
     if (frame->type == Frame::Type::kData) {
-      if (!frame->payload.empty() && stream.hooks.on_first_byte) {
-        auto first_byte = std::move(stream.hooks.on_first_byte);
-        stream.hooks.on_first_byte = nullptr;
-        first_byte();
+      if (!frame->payload.empty()) {
+        fire_once(stream.hooks.on_first_byte);
       }
       // The frame's bytes go straight from the frame buffer into the
       // stream's response body.

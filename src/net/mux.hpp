@@ -79,28 +79,16 @@ class FrameParser {
 };
 
 /// Server side: binds an origin address and answers mux-framed HTTP
-/// requests under HttpServer's handler contract (framed wire bytes).
-class MuxServer {
+/// requests through OriginServer's per-request pipeline; only the framing
+/// (data frames interleaved across streams) is its own.
+class MuxServer final : public OriginServer {
  public:
-  using Handler = HttpServer::Handler;
-
   static constexpr std::size_t kDefaultChunkBytes = 16 * 1024;
 
   MuxServer(Fabric& fabric, Address local, Handler handler,
             Microseconds processing_delay = 0,
             std::size_t chunk_bytes = kDefaultChunkBytes,
             TcpConnection::Config config = {});
-
-  [[nodiscard]] Address address() const { return listener_.local_address(); }
-  [[nodiscard]] std::uint64_t requests_served() const { return requests_served_; }
-  [[nodiscard]] std::uint64_t total_accepted() const {
-    return listener_.total_accepted();
-  }
-  [[nodiscard]] std::uint64_t faults_injected() const { return faults_injected_; }
-
-  /// Fault injection: consulted once per parsed request frame (indexed in
-  /// parse order, including requests that end up faulted). Null = none.
-  void set_fault_hook(ServerFaultHook hook) { fault_hook_ = std::move(hook); }
 
  private:
   struct Session {
@@ -111,27 +99,18 @@ class MuxServer {
     /// round-robin interleaved.
     std::map<std::uint32_t, Payload> pending_streams;
     std::map<std::uint32_t, Payload>::iterator next_stream;
-    bool writer_scheduled{false};
 
     Session() : next_stream{pending_streams.end()} {}
   };
 
   TcpConnection::Callbacks make_callbacks(
-      const std::shared_ptr<TcpConnection>& connection);
+      const std::shared_ptr<TcpConnection>& connection) override;
   void on_data(const std::shared_ptr<Session>& session, std::string_view bytes);
   void start_response(const std::shared_ptr<Session>& session,
                       std::uint32_t stream_id, std::string wire);
   void pump_writer(const std::shared_ptr<Session>& session);
 
-  Fabric& fabric_;
-  Handler handler_;
-  Microseconds processing_delay_;
   std::size_t chunk_bytes_;
-  std::uint64_t requests_served_{0};
-  std::uint64_t requests_seen_{0};  // fault-hook index (includes faulted)
-  std::uint64_t faults_injected_{0};
-  ServerFaultHook fault_hook_;
-  TcpListener listener_;
 };
 
 /// Client side: one connection, many concurrent fetches.
@@ -168,7 +147,6 @@ class MuxClientConnection {
   void on_data(std::string_view bytes);
   void fail(const std::string& reason);
 
-  Fabric& fabric_;
   FrameParser parser_;
   std::map<std::uint32_t, Stream> streams_;
   std::uint32_t next_stream_id_{1};

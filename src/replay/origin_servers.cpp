@@ -62,19 +62,17 @@ OriginServerSet::OriginServerSet(net::Fabric& fabric,
       }
     }
     if (options.multiplexed) {
-      mux_servers_.push_back(std::make_unique<net::mux::MuxServer>(
+      servers_.push_back(std::make_unique<net::mux::MuxServer>(
           fabric, address, handler, options.processing_delay,
           net::mux::MuxServer::kDefaultChunkBytes, tcp));
-      if (fault_hook) {
-        mux_servers_.back()->set_fault_hook(std::move(fault_hook));
-      }
     } else {
-      servers_.push_back(std::make_unique<net::HttpServer>(
-          fabric, address, handler, options.processing_delay, tcp));
-      servers_.back()->set_worker_pool(options.worker_pool);
-      if (fault_hook) {
-        servers_.back()->set_fault_hook(std::move(fault_hook));
-      }
+      auto server = std::make_unique<net::HttpServer>(
+          fabric, address, handler, options.processing_delay, tcp);
+      server->set_worker_pool(options.worker_pool);
+      servers_.push_back(std::move(server));
+    }
+    if (fault_hook) {
+      servers_.back()->set_fault_hook(std::move(fault_hook));
     }
   };
 
@@ -115,18 +113,12 @@ std::uint64_t OriginServerSet::requests_served() const {
   for (const auto& server : servers_) {
     total += server->requests_served();
   }
-  for (const auto& server : mux_servers_) {
-    total += server->requests_served();
-  }
   return total;
 }
 
 std::uint64_t OriginServerSet::connections_accepted() const {
   std::uint64_t total = 0;
   for (const auto& server : servers_) {
-    total += server->total_accepted();
-  }
-  for (const auto& server : mux_servers_) {
     total += server->total_accepted();
   }
   return total;

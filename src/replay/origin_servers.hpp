@@ -72,9 +72,7 @@ class OriginServerSet {
   [[nodiscard]] const net::DnsTable& dns_table() const { return dns_; }
 
   /// Number of web servers spawned (paper: one per recorded IP/port).
-  [[nodiscard]] std::size_t server_count() const {
-    return servers_.size() + mux_servers_.size();
-  }
+  [[nodiscard]] std::size_t server_count() const { return servers_.size(); }
 
   [[nodiscard]] std::uint64_t requests_served() const;
   [[nodiscard]] std::uint64_t connections_accepted() const;
@@ -90,8 +88,8 @@ class OriginServerSet {
  private:
   Matcher matcher_;
   net::DnsTable dns_;
-  std::vector<std::unique_ptr<net::HttpServer>> servers_;
-  std::vector<std::unique_ptr<net::mux::MuxServer>> mux_servers_;
+  /// HTTP/1.1 or mux servers, in spawn order.
+  std::vector<std::unique_ptr<net::OriginServer>> servers_;
   std::vector<std::string> server_controllers_;
 };
 

@@ -12,7 +12,29 @@ namespace {
 /// Approximate wire overhead of response headers (for byte accounting).
 constexpr std::uint64_t kHeaderOverheadBytes = 180;
 
+/// The GET the browser sends for `url`, on either protocol.
+http::Request get_request(const http::Url& url) {
+  http::Request request;
+  request.method = http::Method::kGet;
+  request.target = url.request_target();
+  std::string host_value = url.host;
+  if (url.port != 0) {
+    host_value += ':' + std::to_string(url.port);
+  }
+  request.headers.add("Host", std::move(host_value));
+  request.headers.add("User-Agent", "mahimahi-model-browser/1.0");
+  request.headers.add("Accept", "*/*");
+  return request;
+}
+
 }  // namespace
+
+/// One HTTP/1.1 keep-alive connection of an origin pool.
+struct Browser::PoolEntry {
+  std::unique_ptr<net::HttpClientConnection> connection;
+  bool busy{false};
+  http::Url current;  // valid while busy (error attribution)
+};
 
 /// One origin's connection pool. HTTP/1.1: up to
 /// max_connections_per_origin keep-alive connections, each carrying one
@@ -22,14 +44,9 @@ struct Browser::OriginPool {
   net::Address server;
   std::deque<FetchTask> waiting;
 
-  struct Entry {
-    std::unique_ptr<net::HttpClientConnection> connection;
-    bool busy{false};
-    http::Url current;  // valid while busy (error attribution)
-  };
   // shared_ptr so deferred request-issue events can hold weak references
   // that survive pool teardown (stall timeout mid-load).
-  std::vector<std::shared_ptr<Entry>> entries;
+  std::vector<std::shared_ptr<PoolEntry>> entries;
 
   // Multiplexed mode only.
   std::unique_ptr<net::mux::MuxClientConnection> mux;
@@ -184,6 +201,20 @@ net::TcpConnection::Config Browser::next_connection_config() const {
   return config;
 }
 
+template <typename Send>
+void Browser::issue_on_main_thread(Send send) {
+  if (config_.request_issue_cost > 0) {
+    // Issuing a request costs main-thread time; a post-parse burst of
+    // discoveries goes out staggered, not as one packet storm.
+    const Microseconds at =
+        std::max(loop_.now(), main_thread_busy_until_) + config_.request_issue_cost;
+    main_thread_busy_until_ = at;
+    loop_.schedule_at(at, std::move(send));
+  } else {
+    send();
+  }
+}
+
 void Browser::pump_all() {
   for (auto& [key, pool] : pools_) {
     pump(*pool);
@@ -201,7 +232,7 @@ void Browser::pump(OriginPool& pool) {
   while (!pool.waiting.empty() &&
          in_flight_requests_ < config_.max_concurrent_requests) {
     // Prefer an idle live connection.
-    OriginPool::Entry* idle = nullptr;
+    std::shared_ptr<PoolEntry> idle;
     std::size_t live = 0;
     for (const auto& entry : pool.entries) {
       if (!entry->connection->alive()) {
@@ -209,7 +240,7 @@ void Browser::pump(OriginPool& pool) {
       }
       ++live;
       if (!entry->busy && idle == nullptr) {
-        idle = entry.get();
+        idle = entry;
       }
     }
     if (idle == nullptr) {
@@ -226,8 +257,8 @@ void Browser::pump(OriginPool& pool) {
           total_live >= config_.max_total_connections) {
         return;  // wait for a connection to free up
       }
-      auto entry = std::make_shared<OriginPool::Entry>();
-      OriginPool::Entry* raw = entry.get();
+      auto entry = std::make_shared<PoolEntry>();
+      PoolEntry* raw = entry.get();
       entry->connection = std::make_unique<net::HttpClientConnection>(
           fabric_, pool.server, [this, raw](const std::string& reason) {
             // Connection died; fail its in-flight object, if any. The
@@ -243,13 +274,13 @@ void Browser::pump(OriginPool& pool) {
             }
           },
           next_connection_config());
-      pool.entries.push_back(std::move(entry));
+      pool.entries.push_back(entry);
       ++result_.connections_opened;
-      idle = raw;
+      idle = std::move(entry);
     }
     FetchTask task = std::move(pool.waiting.front());
     pool.waiting.pop_front();
-    issue(pool, *idle->connection, std::move(task));
+    issue(std::move(idle), std::move(task));
   }
 }
 
@@ -302,25 +333,13 @@ void Browser::pump_mux(OriginPool& pool) {
   }
   while (!pool.waiting.empty() &&
          in_flight_requests_ < config_.max_concurrent_requests) {
-    FetchTask task = std::move(pool.waiting.front());
+    const http::Url url = std::move(pool.waiting.front().url);
     pool.waiting.pop_front();
-
-    http::Request request;
-    request.method = http::Method::kGet;
-    request.target = task.url.request_target();
-    std::string host_value = task.url.host;
-    if (task.url.port != 0) {
-      host_value += ':' + std::to_string(task.url.port);
-    }
-    request.headers.add("Host", std::move(host_value));
-    request.headers.add("User-Agent", "mahimahi-model-browser/1.0");
-    request.headers.add("Accept", "*/*");
-
     ++in_flight_requests_;
-    const http::Url url = task.url;
     // The issue cost applies as in HTTP/1.1; mux just removes the
     // connection bookkeeping.
-    auto send = [this, &pool, url, request = std::move(request)]() mutable {
+    issue_on_main_thread([this, &pool, url,
+                          request = get_request(url)]() mutable {
       if (!loading_ || pool.mux == nullptr) {
         return;
       }
@@ -354,59 +373,22 @@ void Browser::pump_mux(OriginPool& pool) {
             }
           },
           make_fetch_hooks(url));
-    };
-    if (config_.request_issue_cost > 0) {
-      const Microseconds at = std::max(loop_.now(), main_thread_busy_until_) +
-                              config_.request_issue_cost;
-      main_thread_busy_until_ = at;
-      loop_.schedule_at(at, std::move(send));
-    } else {
-      send();
-    }
+    });
   }
 }
 
-void Browser::issue(OriginPool& pool, net::HttpClientConnection& connection,
-                    FetchTask task) {
-  OriginPool::Entry* entry = nullptr;
-  for (const auto& e : pool.entries) {
-    if (e->connection.get() == &connection) {
-      entry = e.get();
-      break;
-    }
-  }
-  MAHI_ASSERT(entry != nullptr);
+void Browser::issue(std::shared_ptr<PoolEntry> entry, FetchTask task) {
   entry->busy = true;
   entry->current = task.url;
-
-  http::Request request;
-  request.method = http::Method::kGet;
-  request.target = task.url.request_target();
-  std::string host_value = task.url.host;
-  if (task.url.port != 0) {
-    host_value += ':' + std::to_string(task.url.port);
-  }
-  request.headers.add("Host", std::move(host_value));
-  request.headers.add("User-Agent", "mahimahi-model-browser/1.0");
-  request.headers.add("Accept", "*/*");
-
-  const http::Url url = task.url;
-  std::shared_ptr<OriginPool::Entry> shared;
-  for (const auto& e : pool.entries) {
-    if (e.get() == entry) {
-      shared = e;
-      break;
-    }
-  }
-  MAHI_ASSERT(shared != nullptr);
+  const http::Url url = std::move(task.url);
   ++in_flight_requests_;
-  auto send = [this, weak = std::weak_ptr<OriginPool::Entry>{shared}, url,
-               request = std::move(request)]() mutable {
+  issue_on_main_thread([this, weak = std::weak_ptr<PoolEntry>{entry}, url,
+                        request = get_request(url)]() mutable {
     const auto e = weak.lock();
     if (!e || !loading_) {
       return;  // load torn down before the issue event fired
     }
-    OriginPool::Entry* raw = e.get();
+    PoolEntry* raw = e.get();
     arm_deadline(url, [this, weak, key = url.to_string()] {
       // Deadline expired mid-request: kill the connection silently (its
       // error callback must not fire — the failure is already attributed)
@@ -434,17 +416,7 @@ void Browser::issue(OriginPool& pool, net::HttpClientConnection& connection,
           }
         },
         make_fetch_hooks(url));
-  };
-  if (config_.request_issue_cost > 0) {
-    // Issuing a request costs main-thread time; a post-parse burst of
-    // discoveries goes out staggered, not as one packet storm.
-    const Microseconds at =
-        std::max(loop_.now(), main_thread_busy_until_) + config_.request_issue_cost;
-    main_thread_busy_until_ = at;
-    loop_.schedule_at(at, std::move(send));
-  } else {
-    send();
-  }
+  });
 }
 
 void Browser::on_response(const http::Url& url, http::Response response) {

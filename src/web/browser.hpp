@@ -157,6 +157,7 @@ class Browser {
 
  private:
   struct OriginPool;
+  struct PoolEntry;
   struct FetchTask {
     http::Url url;
   };
@@ -194,8 +195,12 @@ class Browser {
   void pump(OriginPool& pool);
   void pump_mux(OriginPool& pool);
   void pump_all();
-  void issue(OriginPool& pool, net::HttpClientConnection& connection,
-             FetchTask task);
+  /// Issues `task` on the HTTP/1.1 pool connection `entry`.
+  void issue(std::shared_ptr<PoolEntry> entry, FetchTask task);
+  /// Runs `send` once the main thread has paid the request issue cost
+  /// (at once when that cost is zero).
+  template <typename Send>
+  void issue_on_main_thread(Send send);
   void on_response(const http::Url& url, http::Response response);
   void on_object_computed(const http::Url& url, http::ResourceKind kind,
                           std::string body);

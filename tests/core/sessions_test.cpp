@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "corpus/site_generator.hpp"
 
 namespace mahimahi::core {
@@ -135,6 +138,36 @@ TEST(ReplaySession, BrowserConnectionCapBindsPageParallelism) {
   ReplaySession wide{store, quick_config()};
   const auto wide_result = wide.load_once(site.primary_url(), 0);
   EXPECT_GT(wide_result.connections_opened, result.connections_opened);
+}
+
+TEST(ReplaySession, RejectsMismatchedProtocolPair) {
+  // Browser and origin farm must speak one protocol; a mismatch would
+  // otherwise fail every object with "response parse failure".
+  const auto site = corpus::generate_site(tiny_spec());
+  RecordSession recorder{site, corpus::LiveWebConfig{}, quick_config()};
+  const auto store = recorder.record();
+
+  auto mux_browser = quick_config();
+  mux_browser.browser.protocol = web::AppProtocol::kMultiplexed;
+  const ReplaySession http_origins{store, mux_browser};
+  try {
+    (void)http_origins.load_once(site.primary_url(), 0);
+    FAIL() << "mismatched protocols accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("protocol mux"), std::string::npos) << what;
+    EXPECT_NE(what.find("multiplexed false"), std::string::npos) << what;
+  }
+
+  replay::OriginServerSet::Options mux_origins;
+  mux_origins.multiplexed = true;
+  const ReplaySession http_browser{store, quick_config(), mux_origins};
+  EXPECT_THROW((void)http_browser.load_once(site.primary_url(), 0),
+               std::invalid_argument);
+
+  // A matched mux pair loads normally.
+  const ReplaySession matched{store, mux_browser, mux_origins};
+  EXPECT_TRUE(matched.load_once(site.primary_url(), 0).success);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "net/dns.hpp"
 #include "net/element.hpp"
@@ -189,29 +190,62 @@ TEST(DnsFaults, DropBeyondRetryBudgetFailsTheLookup) {
   EXPECT_EQ(server.faults_injected(), 2u);  // original + one retry
 }
 
-// --- Origin faults (HTTP/1.1) -----------------------------------------------
+// --- Origin faults (both protocols) ----------------------------------------
 
 std::string ok_handler(const http::Request&) {
   return http::to_framed_bytes(http::make_ok(std::string(20'000, 'b')));
 }
 
-TEST(OriginFaults, CrashSendsPartialResponseThenReset) {
-  SimNet net;
-  net.add_delay(5_ms);
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
-  server.set_fault_hook([](std::uint64_t request_index) {
+/// A server/client pair of one application protocol. Every origin fault
+/// must mean the same thing on both: the cases below run over each pair.
+struct Http11 {
+  using Server = HttpServer;
+  using Client = HttpClientConnection;
+};
+struct Multiplexed {
+  using Server = mux::MuxServer;
+  using Client = mux::MuxClientConnection;
+};
+
+struct ProtocolNames {
+  template <typename P>
+  static std::string GetName(int) {
+    return std::is_same_v<P, Http11> ? "Http11" : "Multiplexed";
+  }
+};
+
+template <typename P>
+class OriginFaults : public ::testing::Test {
+ protected:
+  using Server = typename P::Server;
+  using Client = typename P::Client;
+};
+
+using Protocols = ::testing::Types<Http11, Multiplexed>;
+TYPED_TEST_SUITE(OriginFaults, Protocols, ProtocolNames);
+
+ServerFaultHook crash_at(std::uint64_t index, double fraction = 0.5) {
+  return [index, fraction](std::uint64_t request_index) {
     ServerFault fault;
-    if (request_index == 0) {
+    if (request_index == index) {
       fault.kind = ServerFault::Kind::kCrash;
-      fault.fraction = 0.5;
+      fault.fraction = fraction;
     }
     return fault;
-  });
+  };
+}
+
+TYPED_TEST(OriginFaults, CrashSendsPartialResponseThenReset) {
+  SimNet net;
+  net.add_delay(5_ms);
+  typename TestFixture::Server server{net.fabric, kServerAddr, ok_handler};
+  server.set_fault_hook(crash_at(0));
 
   std::string error;
   bool got_response = false;
-  HttpClientConnection client{net.fabric, kServerAddr,
-                              [&](const std::string& reason) { error = reason; }};
+  typename TestFixture::Client client{
+      net.fabric, kServerAddr,
+      [&](const std::string& reason) { error = reason; }};
   client.fetch(http::make_get("http://10.0.0.1/hero.jpg"),
                [&](http::Response) { got_response = true; });
   net.loop.run();
@@ -219,13 +253,43 @@ TEST(OriginFaults, CrashSendsPartialResponseThenReset) {
   EXPECT_FALSE(got_response);
   EXPECT_EQ(error, "connection reset");
   EXPECT_EQ(server.faults_injected(), 1u);
+  EXPECT_EQ(server.requests_served(), 1u);  // the handler ran
   EXPECT_FALSE(client.alive());
 }
 
-TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
+TYPED_TEST(OriginFaults, CrashFiresAfterThinkTime) {
+  // The replay path: every origin thinks for 1.5 ms, so a crash is
+  // scheduled behind the think time instead of cutting the wire at once.
   SimNet net;
   net.add_delay(5_ms);
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
+  typename TestFixture::Server server{net.fabric, kServerAddr, ok_handler,
+                                      /*processing_delay=*/40_ms};
+  server.set_fault_hook(crash_at(0, /*fraction=*/0.0));
+
+  std::string error;
+  Microseconds failed_at = 0;
+  bool got_response = false;
+  typename TestFixture::Client client{net.fabric, kServerAddr,
+                                      [&](const std::string& reason) {
+                                        error = reason;
+                                        failed_at = net.loop.now();
+                                      }};
+  client.fetch(http::make_get("http://10.0.0.1/hero.jpg"),
+               [&](http::Response) { got_response = true; });
+  net.loop.run();
+
+  EXPECT_FALSE(got_response);
+  EXPECT_EQ(error, "connection reset");
+  // Handshake (1 RTT) + request (1/2 RTT) + think + reset (1/2 RTT).
+  EXPECT_GE(failed_at, 20_ms + 40_ms);
+  EXPECT_EQ(server.faults_injected(), 1u);
+  EXPECT_FALSE(client.alive());
+}
+
+TYPED_TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
+  SimNet net;
+  net.add_delay(5_ms);
+  typename TestFixture::Server server{net.fabric, kServerAddr, ok_handler};
   server.set_fault_hook([](std::uint64_t) {
     ServerFault fault;
     fault.kind = ServerFault::Kind::kStall;
@@ -234,8 +298,9 @@ TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
 
   std::string error;
   bool got_response = false;
-  HttpClientConnection client{net.fabric, kServerAddr,
-                              [&](const std::string& reason) { error = reason; }};
+  typename TestFixture::Client client{
+      net.fabric, kServerAddr,
+      [&](const std::string& reason) { error = reason; }};
   client.fetch(http::make_get("http://10.0.0.1/spinner.gif"),
                [&](http::Response) { got_response = true; });
   net.loop.run();  // drains: the stalled request leaves nothing scheduled
@@ -244,17 +309,18 @@ TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
   EXPECT_TRUE(error.empty());  // a stall is silent — only a deadline sees it
   EXPECT_EQ(server.faults_injected(), 1u);
   EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_TRUE(client.alive());
 }
 
-TEST(OriginFaults, ExtraDelayDefersTheResponse) {
+TYPED_TEST(OriginFaults, ExtraDelayDefersTheResponse) {
   SimNet net;
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
+  typename TestFixture::Server server{net.fabric, kServerAddr, ok_handler};
   server.set_fault_hook([](std::uint64_t) {
     ServerFault fault;  // kNone — brown-out latency only
     fault.extra_delay = 80_ms;
     return fault;
   });
-  HttpClientConnection client{net.fabric, kServerAddr};
+  typename TestFixture::Client client{net.fabric, kServerAddr};
   Microseconds done_at = 0;
   client.fetch(http::make_get("http://10.0.0.1/slow"),
                [&](http::Response r) {
@@ -263,46 +329,46 @@ TEST(OriginFaults, ExtraDelayDefersTheResponse) {
                });
   net.loop.run();
   EXPECT_GE(done_at, 80_ms);
+  EXPECT_EQ(server.faults_injected(), 0u);  // latency alone is no fault
+  EXPECT_EQ(server.requests_served(), 1u);
 }
 
-TEST(OriginFaults, OnlyTheFaultedRequestOnAConnectionIsLost) {
+TYPED_TEST(OriginFaults, OnlyTheFaultedRequestOnAConnectionIsLost) {
   // Request #1 crashes the connection; a fresh connection then fetches the
   // same object fine — exactly the sequence the browser's retry path runs.
   SimNet net;
   net.add_delay(2_ms);
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
-  server.set_fault_hook([](std::uint64_t request_index) {
-    ServerFault fault;
-    if (request_index == 1) {
-      fault.kind = ServerFault::Kind::kCrash;
-    }
-    return fault;
-  });
+  typename TestFixture::Server server{net.fabric, kServerAddr, ok_handler};
+  server.set_fault_hook(crash_at(1));
 
   int responses = 0;
   std::string error;
-  auto client = std::make_unique<HttpClientConnection>(
+  auto client = std::make_unique<typename TestFixture::Client>(
       net.fabric, kServerAddr,
       [&](const std::string& reason) { error = reason; });
-  client->fetch(http::make_get("http://10.0.0.1/a"),
-                [&](http::Response) { ++responses; });
-  client->fetch(http::make_get("http://10.0.0.1/b"),
-                [&](http::Response) { ++responses; });
+  client->fetch(http::make_get("http://10.0.0.1/a"), [&](http::Response) {
+    ++responses;
+    // Issued once /a is complete, so /a's bytes are never in flight when
+    // /b's crash resets the connection.
+    client->fetch(http::make_get("http://10.0.0.1/b"),
+                  [&](http::Response) { ++responses; });
+  });
   net.loop.run();
   EXPECT_EQ(responses, 1);
   EXPECT_EQ(error, "connection reset");
 
-  HttpClientConnection retry{net.fabric, kServerAddr};
+  typename TestFixture::Client retry{net.fabric, kServerAddr};
   retry.fetch(http::make_get("http://10.0.0.1/b"),
               [&](http::Response) { ++responses; });
   net.loop.run();
   EXPECT_EQ(responses, 2);
   EXPECT_EQ(server.faults_injected(), 1u);
+  EXPECT_EQ(server.requests_served(), 3u);
 }
 
-// --- Origin faults (mux) ----------------------------------------------------
+// --- Origin faults (mux only) ------------------------------------------------
 
-TEST(OriginFaults, MuxCrashResetsEveryStreamOnTheConnection) {
+TEST(MuxOriginFaults, CrashResetsEveryStreamOnTheConnection) {
   SimNet net;
   net.add_delay(5_ms);
   mux::MuxServer server{net.fabric, kServerAddr, ok_handler};

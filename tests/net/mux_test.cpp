@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "net/sim_fixture.hpp"
 #include "trace/synthesis.hpp"
 #include "util/random.hpp"
@@ -188,6 +191,56 @@ TEST(Mux, ServerThinkTimeDelaysResponse) {
                [&](http::Response) { done = h.net.loop.now(); });
   h.net.loop.run();
   EXPECT_GE(done, 30_ms + 20_ms);  // think + RTT
+}
+
+TEST(Mux, MalformedRequestFrameGets400OthersStillServed) {
+  // A garbage kRequest frame must not leave its stream hanging: the server
+  // answers it with 400 and keeps the connection's other streams alive.
+  SimNet net;
+  net.add_delay(2_ms);
+  MuxServer server{net.fabric, kServerAddr, [](const http::Request& request) {
+                     return http::to_framed_bytes(
+                         http::make_ok("ok:" + request.target));
+                   }};
+  std::vector<std::uint64_t> fault_indices;
+  server.set_fault_hook([&](std::uint64_t request_index) {
+    fault_indices.push_back(request_index);
+    return ServerFault{};
+  });
+
+  FrameParser frames;
+  std::map<std::uint32_t, std::string> bodies;
+  std::map<std::uint32_t, int> statuses;
+  bool reset = false;
+  TcpClient raw{net.fabric, kServerAddr,
+                {.on_data =
+                     [&](std::string_view bytes) {
+                       frames.push(bytes);
+                       while (const auto frame = frames.next()) {
+                         if (frame->type == Frame::Type::kData) {
+                           bodies[frame->stream_id] += frame->payload;
+                           continue;
+                         }
+                         http::ResponseParser parser;
+                         parser.push(bodies[frame->stream_id]);
+                         parser.on_close();
+                         ASSERT_TRUE(parser.has_message());
+                         statuses[frame->stream_id] = parser.pop().status;
+                       }
+                     },
+                 .on_reset = [&] { reset = true; }}};
+  raw.connection().send(
+      encode_frame({1, Frame::Type::kRequest, "garbage\r\n\r\n"}));
+  raw.connection().send(encode_frame(
+      {2, Frame::Type::kRequest,
+       http::to_framed_bytes(http::make_get("http://10.0.0.1/fine"))}));
+  net.loop.run();
+
+  EXPECT_FALSE(reset);
+  EXPECT_EQ(statuses, (std::map<std::uint32_t, int>{{1, 400}, {2, 200}}));
+  EXPECT_EQ(server.requests_served(), 1u);
+  // The malformed frame consumes no fault-hook index, as on HTTP/1.1.
+  EXPECT_EQ(fault_indices, (std::vector<std::uint64_t>{0}));
 }
 
 TEST(Mux, GarbageBytesAbortConnection) {

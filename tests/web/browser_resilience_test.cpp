@@ -51,6 +51,17 @@ record::RecordStore small_site() {
   return store;
 }
 
+/// Runs every case over both application protocols: a fault plan must
+/// mean the same thing to an HTTP/1.1 pool as to a mux connection.
+class BrowserResilience : public ::testing::TestWithParam<AppProtocol> {
+ protected:
+  /// `config` set to speak this run's protocol.
+  [[nodiscard]] BrowserConfig with_protocol(BrowserConfig config) const {
+    config.protocol = GetParam();
+    return config;
+  }
+};
+
 struct FaultedHarness {
   net::EventLoop loop;
   net::Fabric fabric{loop};
@@ -62,16 +73,18 @@ struct FaultedHarness {
   FaultedHarness(record::RecordStore s, fault::FaultPlan plan,
                  BrowserConfig config = {})
       : store{std::move(s)},
-        servers{fabric, store, options_with(std::move(plan))},
+        servers{fabric, store, options_with(std::move(plan), config)},
         dns{fabric, net::Address{net::Ipv4{10, 250, 0, 1}, net::kDnsPort},
             servers.dns_table()},
         browser{fabric, dns.address(), config, util::Rng{7}} {
     loop.set_event_limit(20'000'000);
   }
 
-  static replay::OriginServerSet::Options options_with(fault::FaultPlan plan) {
+  static replay::OriginServerSet::Options options_with(
+      fault::FaultPlan plan, const BrowserConfig& config) {
     replay::OriginServerSet::Options options;
     options.fault = std::move(plan);
+    options.multiplexed = config.protocol == AppProtocol::kMultiplexed;
     return options;
   }
 
@@ -99,9 +112,9 @@ BrowserConfig defended_config() {
   return config;
 }
 
-TEST(BrowserResilience, DisabledPolicyReportsCleanCounters) {
+TEST_P(BrowserResilience, DisabledPolicyReportsCleanCounters) {
   fault::FaultPlan no_faults;
-  FaultedHarness h{small_site(), no_faults};
+  FaultedHarness h{small_site(), no_faults, with_protocol({})};
   const PageLoadResult result = h.load("http://www.s.test/");
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.retries, 0u);
@@ -111,8 +124,8 @@ TEST(BrowserResilience, DisabledPolicyReportsCleanCounters) {
   EXPECT_EQ(result.degraded_page_load_time, result.page_load_time);
 }
 
-TEST(BrowserResilience, UndefendedClientLosesCrashedObjects) {
-  FaultedHarness h{small_site(), crash_plan(0.5)};
+TEST_P(BrowserResilience, UndefendedClientLosesCrashedObjects) {
+  FaultedHarness h{small_site(), crash_plan(0.5), with_protocol({})};
   const PageLoadResult result = h.load("http://www.s.test/");
   EXPECT_GT(result.objects_failed, 0u);
   EXPECT_EQ(result.retries, 0u);  // no policy, no retries
@@ -120,21 +133,23 @@ TEST(BrowserResilience, UndefendedClientLosesCrashedObjects) {
   EXPECT_LE(result.degraded_page_load_time, result.page_load_time);
 }
 
-TEST(BrowserResilience, RetriesRecoverWhatNoRetryLoses) {
+TEST_P(BrowserResilience, RetriesRecoverWhatNoRetryLoses) {
   // Identical plan seed: the same requests crash in both runs; only the
   // client differs. The defended client must end strictly healthier.
   const PageLoadResult undefended =
-      FaultedHarness{small_site(), crash_plan(0.5)}.load("http://www.s.test/");
-  const PageLoadResult defended =
-      FaultedHarness{small_site(), crash_plan(0.5), defended_config()}.load(
+      FaultedHarness{small_site(), crash_plan(0.5), with_protocol({})}.load(
           "http://www.s.test/");
+  const PageLoadResult defended =
+      FaultedHarness{small_site(), crash_plan(0.5),
+                     with_protocol(defended_config())}
+          .load("http://www.s.test/");
   ASSERT_GT(undefended.objects_failed, 0u);
   EXPECT_GT(defended.retries, 0u);
   EXPECT_LT(defended.objects_failed, undefended.objects_failed);
   EXPECT_GT(defended.objects_loaded, undefended.objects_loaded);
 }
 
-TEST(BrowserResilience, DeadlineTurnsStallsIntoTimeouts) {
+TEST_P(BrowserResilience, DeadlineTurnsStallsIntoTimeouts) {
   // Every request stalls; without a deadline the load would never finish.
   // With one, each attempt times out, the retry budget drains, and the
   // load terminates with every object accounted for.
@@ -145,7 +160,8 @@ TEST(BrowserResilience, DeadlineTurnsStallsIntoTimeouts) {
   config.resilience.max_retries = 1;
   config.resilience.backoff_base = 50_ms;
   config.resilience.backoff_max = 100_ms;
-  FaultedHarness h{small_site(), std::move(stall_everything), config};
+  FaultedHarness h{small_site(), std::move(stall_everything),
+                   with_protocol(config)};
   const PageLoadResult result = h.load("http://www.s.test/");
   EXPECT_FALSE(result.success);
   EXPECT_GE(result.timeouts, 2u);  // original + the one retry, at least
@@ -154,7 +170,7 @@ TEST(BrowserResilience, DeadlineTurnsStallsIntoTimeouts) {
   EXPECT_FALSE(result.errors.empty());
 }
 
-TEST(BrowserResilience, DegradedPltStopsAtTheLastSuccess) {
+TEST_P(BrowserResilience, DegradedPltStopsAtTheLastSuccess) {
   // Stall one mid-page object (the cdn script) and let the deadline give
   // up on it: the page "looked done" when the last image landed, well
   // before the deadline machinery finished failing — degraded PLT must
@@ -166,12 +182,13 @@ TEST(BrowserResilience, DegradedPltStopsAtTheLastSuccess) {
   config.resilience.max_retries = 0;  // deadline only
   // Only the CDN gets the faulted plan: build a store whose primary origin
   // serves everything except one stalled cdn object.
-  FaultedHarness healthy{small_site(), fault::FaultPlan{}};
+  FaultedHarness healthy{small_site(), fault::FaultPlan{}, with_protocol({})};
   const PageLoadResult clean = healthy.load("http://www.s.test/");
 
   fault::FaultSpec stall_spec;
   stall_spec.origin.stall_rate = 1.0;
-  FaultedHarness h{small_site(), fault::FaultPlan{stall_spec, 5}, config};
+  FaultedHarness h{small_site(), fault::FaultPlan{stall_spec, 5},
+                   with_protocol(config)};
   const PageLoadResult result = h.load("http://www.s.test/");
   // The root html is served by the same faulted set, so it stalls too and
   // fails; what matters here is the bound, degraded <= full, with the gap
@@ -183,11 +200,12 @@ TEST(BrowserResilience, DegradedPltStopsAtTheLastSuccess) {
   EXPECT_EQ(clean.degraded_page_load_time, clean.page_load_time);
 }
 
-TEST(BrowserResilience, FaultedLoadIsDeterministic) {
+TEST_P(BrowserResilience, FaultedLoadIsDeterministic) {
   // Two identical harnesses, faults and retries engaged: byte-equal
   // outcome counters and identical PLTs.
-  const auto run = [] {
-    return FaultedHarness{small_site(), crash_plan(0.5), defended_config()}
+  const auto run = [this] {
+    return FaultedHarness{small_site(), crash_plan(0.5),
+                          with_protocol(defended_config())}
         .load("http://www.s.test/");
   };
   const PageLoadResult a = run();
@@ -200,6 +218,13 @@ TEST(BrowserResilience, FaultedLoadIsDeterministic) {
   EXPECT_EQ(a.timeouts, b.timeouts);
   EXPECT_EQ(a.success, b.success);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, BrowserResilience,
+    ::testing::Values(AppProtocol::kHttp11, AppProtocol::kMultiplexed),
+    [](const ::testing::TestParamInfo<AppProtocol>& info) {
+      return info.param == AppProtocol::kHttp11 ? "Http11" : "Multiplexed";
+    });
 
 }  // namespace
 }  // namespace mahimahi::web
