@@ -209,6 +209,27 @@ void BM_EventLoopTimerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopTimerChurn)->Arg(10000);
 
+void BM_EventLoopTimerRearm(benchmark::State& state) {
+  // BM_EventLoopTimerChurn's pattern through EventLoop::rearm, as TCP arms
+  // its RTO: the far-future timer is deferred in place, not replaced.
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    net::EventLoop loop;
+    int remaining = n;
+    net::EventLoop::EventId rto = 0;
+    std::function<void()> rearm = [&] {
+      loop.rearm(rto, loop.now() + 200'000, [] {});
+      if (--remaining > 0) {
+        loop.schedule_in(10, [&rearm] { rearm(); });
+      }
+    };
+    loop.schedule_at(0, [&rearm] { rearm(); });
+    loop.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_EventLoopTimerRearm)->Arg(10000);
+
 void BM_LinkForwardingFullQueue(benchmark::State& state) {
   // A saturated bottleneck: arrivals outpace a 100 Mbit/s link with a
   // bounded drop-tail queue, so most of the work is enqueue/drop/dequeue

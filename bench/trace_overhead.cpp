@@ -20,10 +20,15 @@
 // Each HTTP body is copied once per side, so a copy or allocation that
 // creeps back into the replay path moves these rows past the gate.
 //
+// Event-loop work: the same untraced loads again, on loops this driver
+// owns, report the loop's counters per load (events scheduled,
+// dispatched, cancelled, re-armed in place, re-keyed, tombstones popped).
+// A timer that goes back to cancel-and-reschedule moves these rows.
+//
 // Output: BENCH_obs.json (override with MAHI_OBS_JSON). Wall-clock rows
 // are informational (negative tolerance in the baseline); event/object
-// counts, export byte sizes and the heap rows are deterministic and
-// pinned at the default 0.05 band.
+// counts, export byte sizes, the heap and the loop rows are deterministic
+// and pinned at the default 0.05 band.
 //
 // Scale: 6 loads per scenario.
 
@@ -38,6 +43,7 @@
 #include "bench/common.hpp"
 #include "experiment/runner.hpp"
 #include "corpus/site_generator.hpp"
+#include "net/event_loop.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -121,6 +127,30 @@ int main() {
   }
   const double untraced_s = untraced_timer.elapsed_seconds();
 
+  net::EventLoop::Counters loop_work;
+  bool loop_loads_match = true;
+  for (int i = 0; i < loads; ++i) {
+    net::EventLoop loop;
+    {
+      core::ReplayWorld world{loop, page.store, session_config(),
+                              core::ReplaySession::Options{}, i};
+      Microseconds plt = -1;
+      world.browser().load(url, [&plt](const web::PageLoadResult& result) {
+        plt = result.page_load_time;
+      });
+      loop.run();
+      loop_loads_match = loop_loads_match &&
+                         static_cast<double>(plt) == untraced_plt_us[i];
+    }  // teardown's cancels count too
+    const net::EventLoop::Counters& c = loop.counters();
+    loop_work.scheduled += c.scheduled;
+    loop_work.dispatched += c.dispatched;
+    loop_work.cancelled += c.cancelled;
+    loop_work.rearmed += c.rearmed;
+    loop_work.rekeyed += c.rekeyed;
+    loop_work.tombstones += c.tombstones;
+  }
+
   std::vector<double> traced_plt_us;
   std::vector<obs::LoadTrace> traces;
   const WallTimer traced_timer;
@@ -140,6 +170,12 @@ int main() {
   if (traced_plt_us != untraced_plt_us) {
     std::fprintf(stderr,
                  "FAIL: tracing perturbed the simulation (PLTs differ)\n");
+    ok = false;
+  }
+
+  if (!loop_loads_match) {
+    std::fprintf(stderr,
+                 "FAIL: the loop-counter loads differ from load_once's\n");
     ok = false;
   }
 
@@ -203,6 +239,14 @@ int main() {
               metrics_json.size());
   std::printf("  heap      %.1f allocs/load, %.1f kB/load (untraced)\n",
               heap_allocs_per_load, heap_kbytes_per_load);
+  const auto per_load = [](std::uint64_t count) {
+    return static_cast<double>(count) / loads;
+  };
+  std::printf("  loop      %.1f scheduled, %.1f dispatched, %.1f cancelled, "
+              "%.1f re-armed, %.1f re-keyed, %.1f tombstones per load\n",
+              per_load(loop_work.scheduled), per_load(loop_work.dispatched),
+              per_load(loop_work.cancelled), per_load(loop_work.rearmed),
+              per_load(loop_work.rekeyed), per_load(loop_work.tombstones));
   if (!ok) {
     return 1;
   }
@@ -222,6 +266,18 @@ int main() {
               static_cast<double>(metrics_json.size()), 0, 0});
   report.add({"replay_heap_allocs_per_load", heap_allocs_per_load, 0, 0});
   report.add({"replay_heap_kbytes_per_load", heap_kbytes_per_load, 0, 0});
+  report.add({"replay_loop_scheduled_per_load", per_load(loop_work.scheduled),
+              0, 0});
+  report.add({"replay_loop_dispatched_per_load",
+              per_load(loop_work.dispatched), 0, 0});
+  report.add({"replay_loop_cancelled_per_load", per_load(loop_work.cancelled),
+              0, 0});
+  report.add({"replay_loop_rearmed_per_load", per_load(loop_work.rearmed), 0,
+              0});
+  report.add({"replay_loop_rekeyed_per_load", per_load(loop_work.rekeyed), 0,
+              0});
+  report.add({"replay_loop_tombstones_per_load",
+              per_load(loop_work.tombstones), 0, 0});
   const char* out = std::getenv("MAHI_OBS_JSON");
   report.write(out != nullptr ? out : "BENCH_obs.json");
   return 0;

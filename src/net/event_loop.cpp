@@ -12,17 +12,26 @@ constexpr std::size_t kHeapArity = 4;
 }  // namespace
 
 void EventLoop::publish_event(Microseconds at, std::uint32_t slot) {
-  inbox_.push_back(HeapEntry{at, next_seq_++, slot, slot_at(slot).generation});
+  Slot& s = slot_at(slot);
+  s.queued_at = at;
+  s.due_at = at;
+  s.due_seq = next_seq_++;
+  inbox_.push_back(HeapEntry{at, s.due_seq, slot, s.generation});
   ++live_count_;
+  ++counters_.scheduled;
 }
 
 void EventLoop::drain_inbox() {
   for (const HeapEntry& entry : inbox_) {
-    if (slot_at(entry.slot).generation != entry.generation) {
+    Slot& s = slot_at(entry.slot);
+    if (s.generation != entry.generation) {
       release_slot(entry.slot);  // cancelled before ever entering the heap
       continue;
     }
-    heap_.push_back(entry);
+    // A re-arm while still in the inbox costs nothing: enter the heap
+    // under the due key directly.
+    s.queued_at = s.due_at;
+    heap_.push_back(HeapEntry{s.due_at, s.due_seq, entry.slot, entry.generation});
     sift_up(heap_.size() - 1);
   }
   inbox_.clear();
@@ -48,22 +57,18 @@ EventLoop::EventId EventLoop::schedule_in(Microseconds delay, Action action) {
 }
 
 void EventLoop::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id >> 32);
-  const auto generation = static_cast<std::uint32_t>(id);
-  if (slot >= slot_count_) {
-    return;  // never existed
-  }
-  Slot& s = slot_at(slot);
-  if (s.generation != generation) {
-    return;  // already ran, already cancelled, or the slot was reused
+  Slot* s = pending_slot(id);
+  if (s == nullptr) {
+    return;
   }
   // Tombstone: the heap entry stays until it surfaces (its generation no
   // longer matches), but the callback and whatever it captured are
   // released right now. The slot rejoins the free list only when the dead
   // entry pops, so it cannot be reused while the entry is in the heap.
-  bump_generation(s);
-  s.action.reset();
+  bump_generation(*s);
+  s->action.reset();
   --live_count_;
+  ++counters_.cancelled;
 }
 
 std::uint32_t EventLoop::acquire_slot() {
@@ -106,14 +111,18 @@ void EventLoop::sift_up(std::size_t index) {
 void EventLoop::pop_top() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) {
-    return;
+  if (!heap_.empty()) {
+    replace_top(last);
   }
-  // Hole-based delete-min: walk the hole to a leaf promoting the smallest
-  // child (no compare against `last` per level), then place `last` and
-  // restore upward — `last` came from the bottom, so the up-pass almost
-  // always stops immediately.
+}
+
+void EventLoop::replace_top(const HeapEntry& entry) {
+  const std::size_t n = heap_.size();
+  // Hole-based: walk the hole from the root to a leaf promoting the
+  // smallest child (no compare against `entry` per level), then place
+  // `entry` and restore upward. Both callers place a late key — the last
+  // leaf, or a deferred timer — so the up-pass almost always stops
+  // immediately.
   std::size_t hole = 0;
   while (true) {
     const std::size_t first_child = hole * kHeapArity + 1;
@@ -130,19 +139,26 @@ void EventLoop::pop_top() {
     heap_[hole] = heap_[best];
     hole = best;
   }
-  heap_[hole] = last;
+  heap_[hole] = entry;
   sift_up(hole);
 }
 
-void EventLoop::drop_dead_top() {
+void EventLoop::settle_top() {
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slot_at(top.slot).generation == top.generation) {
-      return;  // live
+    const HeapEntry top = heap_.front();
+    Slot& s = slot_at(top.slot);
+    if (s.generation != top.generation) {
+      pop_top();
+      release_slot(top.slot);
+      ++counters_.tombstones;
+    } else if (s.due_seq != top.seq) {
+      // Deferred by rearm(): move the entry to its due key.
+      s.queued_at = s.due_at;
+      replace_top(HeapEntry{s.due_at, s.due_seq, top.slot, top.generation});
+      ++counters_.rekeyed;
+    } else {
+      return;  // live, under its due key
     }
-    const std::uint32_t slot = top.slot;
-    pop_top();
-    release_slot(slot);
   }
 }
 
@@ -150,18 +166,21 @@ bool EventLoop::pop_one() {
   if (!inbox_.empty()) {
     drain_inbox();
   }
-  drop_dead_top();
+  settle_top();
   if (heap_.empty()) {
     return false;
   }
   const HeapEntry top = heap_.front();
   Slot& s = slot_at(top.slot);  // stable across arena growth
+  MAHI_ASSERT(top.seq == s.due_seq && top.at == s.due_at);
+  MAHI_ASSERT(top.at >= now_);
   pop_top();
   // Invalidate the id before dispatch: a cancel of this event from
   // inside its own callback (or anything the callback triggers) is a
   // no-op, exactly as if the event had already finished.
   bump_generation(s);
   --live_count_;
+  ++counters_.dispatched;
   now_ = top.at;
   // Invoke in place — no callback move. The action may schedule events
   // (the chunked arena never relocates this slot) or cancel anything.
@@ -198,8 +217,8 @@ std::size_t EventLoop::run_until(Microseconds deadline) {
     if (!inbox_.empty()) {
       drain_inbox();
     }
-    // Drop tombstones at the head so the deadline check sees a live event.
-    drop_dead_top();
+    // Settle the head so the deadline check sees a live event's due key.
+    settle_top();
     if (heap_.empty() || heap_.front().at > deadline) {
       break;
     }

@@ -30,6 +30,18 @@ namespace mahimahi::net {
 /// already-run or reused id is a safe no-op. With callbacks that fit the
 /// inline buffer, a schedule/run cycle performs zero heap allocations once
 /// the arena is warm.
+///
+/// Lazy re-arm: rearm() moves a pending timer to a later deadline without
+/// touching the heap. Each slot stores its event's *due key* (at, seq);
+/// a re-arm takes the next sequence number exactly as schedule_at would
+/// and writes it there, while the queued heap/inbox entry keeps its old,
+/// earlier key. When that entry surfaces — where tombstones are dropped —
+/// it is re-pushed under the due key, so the head the dispatch loop and
+/// run_until's deadline see is always a due key, and events run in
+/// exactly the (at, seq) order cancel + schedule_at would have produced.
+/// A deadline earlier than the queued entry falls back to cancel +
+/// schedule_at. Invariant, checked at every dispatch: the entry's key
+/// equals its slot's due key, and now() never goes backwards.
 class EventLoop {
  public:
   using EventId = std::uint64_t;
@@ -50,11 +62,7 @@ class EventLoop {
     requires(!std::is_same_v<std::decay_t<F>, Action> &&
              std::is_invocable_r_v<void, std::decay_t<F>&>)
   EventId schedule_at(Microseconds at, F&& f) {
-    if constexpr (requires { static_cast<bool>(f); }) {
-      // Catch empty std::functions (and null function pointers) at the
-      // schedule site instead of a bad_function_call mid-run.
-      MAHI_ASSERT_MSG(static_cast<bool>(f), "null action");
-    }
+    check_action(f);
     MAHI_ASSERT_MSG(at >= now_, "scheduling into the past: " << at << " < " << now_);
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_at(slot);
@@ -80,6 +88,34 @@ class EventLoop {
 
   EventId schedule_in(Microseconds delay, Action action);
 
+  /// Move the event `id` names to absolute time `at` (>= now) with
+  /// callable `f`: the same dispatch order, callback and pending count as
+  /// `cancel(id); id = schedule_at(at, f);`. A pending event whose queued
+  /// entry is not later than `at` is deferred in place (its id stays);
+  /// an earlier deadline, or an id that already ran or was cancelled,
+  /// takes the cancel + schedule_at path and updates `id`.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, Action> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  void rearm(EventId& id, Microseconds at, F&& f) {
+    Slot* s = pending_slot(id);
+    if (s == nullptr || at < s->queued_at) {
+      cancel(id);
+      id = schedule_at(at, std::forward<F>(f));
+      return;
+    }
+    check_action(f);  // at >= queued_at >= now: not in the past
+    try {
+      s->action.emplace(std::forward<F>(f));
+    } catch (...) {
+      cancel(id);  // as cancel + a schedule_at that threw
+      throw;
+    }
+    s->due_at = at;
+    s->due_seq = next_seq_++;
+    ++counters_.rearmed;
+  }
+
   /// Cancel a pending event. Cancelling an already-run or unknown id is a
   /// no-op (timers race with the events that would cancel them).
   void cancel(EventId id);
@@ -99,6 +135,20 @@ class EventLoop {
   /// (default: effectively unlimited).
   void set_event_limit(std::size_t limit) { event_limit_ = limit; }
 
+  /// Deterministic work counts since construction — a pure function of
+  /// the simulation, like its output bytes. Every schedule_* call that
+  /// publishes an event counts once in `scheduled`, which therefore
+  /// equals dispatched + cancelled + pending_events().
+  struct Counters {
+    std::uint64_t scheduled{0};   // events published by schedule_*
+    std::uint64_t dispatched{0};  // callbacks run
+    std::uint64_t cancelled{0};   // pending events cancelled
+    std::uint64_t rearmed{0};     // re-arms deferred in place
+    std::uint64_t rekeyed{0};     // deferred entries re-pushed at the top
+    std::uint64_t tombstones{0};  // cancelled entries popped off the heap
+  };
+  [[nodiscard]] const Counters& counters() const { return counters_; }
+
  private:
   struct HeapEntry {
     Microseconds at;
@@ -109,11 +159,16 @@ class EventLoop {
 
   /// A pending event's callback plus the generation stamp that validates
   /// ids. Invariant: slot generation == heap-entry generation exactly
-  /// while the event is pending; cancel and dispatch both bump it.
+  /// while the event is pending; cancel and dispatch both bump it. The
+  /// due key (due_at, due_seq) is the event's dispatch key; its one
+  /// heap/inbox entry is queued under `queued_at` <= due_at.
   struct Slot {
     Action action;
     std::uint32_t generation{0};
     std::uint32_t next_free{kNoFreeSlot};
+    Microseconds queued_at{0};
+    Microseconds due_at{0};
+    std::uint64_t due_seq{0};
   };
 
   static constexpr std::uint32_t kNoFreeSlot = 0xFFFF'FFFF;
@@ -140,6 +195,25 @@ class EventLoop {
   [[nodiscard]] Slot& slot_at(std::uint32_t index) {
     return slot_chunks_[index >> kSlotChunkShift][index & (kSlotChunkSize - 1)];
   }
+  /// The slot of a pending event, or null when `id` already ran, was
+  /// cancelled, or its slot was reused or never existed.
+  [[nodiscard]] Slot* pending_slot(EventId id) {
+    const auto slot = static_cast<std::uint32_t>(id >> 32);
+    if (slot >= slot_count_) {
+      return nullptr;
+    }
+    Slot& s = slot_at(slot);
+    return s.generation == static_cast<std::uint32_t>(id) ? &s : nullptr;
+  }
+
+  template <typename F>
+  static void check_action(const F& f) {
+    if constexpr (requires { static_cast<bool>(f); }) {
+      // Catch empty std::functions (and null function pointers) at the
+      // schedule site instead of a bad_function_call mid-run.
+      MAHI_ASSERT_MSG(static_cast<bool>(f), "null action");
+    }
+  }
 
   /// Record the entry for an acquired slot whose action is already in
   /// place, making the event live. Entries land in the unsorted inbox and
@@ -147,17 +221,21 @@ class EventLoop {
   /// cancelled before then never touches the heap at all (the dominant
   /// fate of batch-armed timers).
   void publish_event(Microseconds at, std::uint32_t slot);
-  /// Move inbox entries into the heap, skipping (and releasing) ones
-  /// already cancelled.
+  /// Move inbox entries into the heap under their due keys, skipping
+  /// (and releasing) ones already cancelled.
   void drain_inbox();
   static void check_delay(Microseconds delay);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void sift_up(std::size_t index);
+  /// Remove the heap top and place `entry` (a key not in the heap) in its
+  /// stead, restoring heap order.
+  void replace_top(const HeapEntry& entry);
   void pop_top();
-  /// Discard tombstoned entries at the heap top; afterwards the top (if
-  /// any) is a live event.
-  void drop_dead_top();
+  /// Discard tombstoned entries at the heap top and re-push deferred ones
+  /// under their due keys; afterwards the top (if any) is a live event
+  /// under its due key.
+  void settle_top();
   bool pop_one();
   void check_limit(std::size_t executed) const;
 
@@ -172,6 +250,7 @@ class EventLoop {
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::size_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};
+  Counters counters_;
 };
 
 /// A session-scoped view of a shared loop's clock: time zero is the

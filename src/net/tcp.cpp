@@ -702,8 +702,7 @@ void TcpConnection::on_rto_expired() {
 }
 
 void TcpConnection::arm_retransmit_timer() {
-  disarm_retransmit_timer();
-  rto_event_ = loop_.schedule_in(rto(), [this] { on_rto_expired(); });
+  loop_.rearm(rto_event_, loop_.now() + rto(), [this] { on_rto_expired(); });
 }
 
 void TcpConnection::disarm_retransmit_timer() {

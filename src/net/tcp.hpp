@@ -294,6 +294,10 @@ class TcpConnection {
   Microseconds srtt_{0};
   Microseconds rttvar_{0};
   Microseconds backoff_rto_{0};  // nonzero while backing off
+  /// The retransmission timer, 0 = disarmed. Every send and ACK moves it
+  /// through EventLoop::rearm, which defers the one pending event in place
+  /// while the deadline only moves later (no cancel, no new heap entry);
+  /// an earlier deadline, as after a backoff-resetting ACK, reschedules.
   EventLoop::EventId rto_event_{0};
   int syn_retries_{0};
   int consecutive_rtos_{0};

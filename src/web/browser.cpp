@@ -553,10 +553,7 @@ void Browser::maybe_finish() {
   // All objects delivered and computed: finish after the final layout.
   const Microseconds at =
       std::max(loop_.now(), main_thread_busy_until_) + config_.final_layout_cost;
-  if (finish_event_ != 0) {
-    loop_.cancel(finish_event_);
-  }
-  finish_event_ = loop_.schedule_at(at, [this] {
+  loop_.rearm(finish_event_, at, [this] {
     finish_event_ = 0;
     finish();
   });
@@ -718,10 +715,7 @@ void Browser::fill_degraded_plt() {
 }
 
 void Browser::arm_stall_timer() {
-  if (stall_event_ != 0) {
-    loop_.cancel(stall_event_);
-  }
-  stall_event_ = loop_.schedule_in(config_.stall_timeout, [this] {
+  loop_.rearm(stall_event_, loop_.now() + config_.stall_timeout, [this] {
     stall_event_ = 0;
     if (!loading_) {
       return;

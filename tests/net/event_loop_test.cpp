@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -329,6 +331,254 @@ TEST(EventLoop, HeapGrowthStressKeepsDeterministicOrder) {
          executed[i - 1].second < executed[i].second);
     ASSERT_TRUE(ordered) << "event " << i << " out of order";
   }
+}
+
+TEST(EventLoop, RearmLaterDefersInPlaceAndKeepsTheId) {
+  EventLoop loop;
+  std::vector<int> order;
+  EventLoop::EventId timer = loop.schedule_at(10, [&] { order.push_back(0); });
+  loop.schedule_at(15, [&] { order.push_back(1); });
+  const EventLoop::EventId before = timer;
+  loop.rearm(timer, 20, [&] { order.push_back(2); });
+  EXPECT_EQ(timer, before);
+  EXPECT_EQ(loop.pending_events(), 2u);
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // the old callback is gone
+  EXPECT_EQ(loop.now(), 20);
+  EXPECT_EQ(loop.counters().rearmed, 1u);
+  EXPECT_EQ(loop.counters().cancelled, 0u);
+}
+
+TEST(EventLoop, RearmToTheSameTimeRunsAfterEventsScheduledBefore) {
+  // A re-arm takes a fresh sequence number, exactly as schedule_at would:
+  // same-time events scheduled before the re-arm run first.
+  EventLoop loop;
+  std::vector<int> order;
+  EventLoop::EventId timer = loop.schedule_at(10, [&] { order.push_back(0); });
+  loop.schedule_at(10, [&] { order.push_back(1); });
+  loop.rearm(timer, 10, [&] { order.push_back(2); });
+  loop.schedule_at(10, [&] { order.push_back(3); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventLoop, RearmEarlierFallsBackToCancelAndSchedule) {
+  EventLoop loop;
+  std::vector<Microseconds> fired;
+  EventLoop::EventId timer = loop.schedule_at(50, [&] { fired.push_back(-1); });
+  loop.run_until(0);  // the entry is in the heap under (50, seq)
+  const EventLoop::EventId before = timer;
+  loop.rearm(timer, 20, [&] { fired.push_back(loop.now()); });
+  EXPECT_NE(timer, before);
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.run();
+  EXPECT_EQ(fired, (std::vector<Microseconds>{20}));
+  EXPECT_EQ(loop.now(), 20);
+  EXPECT_EQ(loop.counters().rearmed, 0u);
+  EXPECT_EQ(loop.counters().cancelled, 1u);
+}
+
+TEST(EventLoop, RearmOfARunOrCancelledIdSchedulesFresh) {
+  EventLoop loop;
+  int runs = 0;
+  EventLoop::EventId ran = loop.schedule_at(1, [&] { ++runs; });
+  loop.run();
+  loop.rearm(ran, 5, [&] { ++runs; });
+  EventLoop::EventId cancelled = loop.schedule_at(3, [&] { runs += 100; });
+  loop.cancel(cancelled);
+  loop.rearm(cancelled, 4, [&] { ++runs; });
+  EXPECT_EQ(loop.pending_events(), 2u);
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(loop.counters().rearmed, 0u);
+}
+
+TEST(EventLoop, RearmOwnIdFromInsideCallbackSchedulesFresh) {
+  // The dispatched event's id is already dead: re-arming it from its own
+  // callback is a new event, like TCP re-arming after an RTO.
+  EventLoop loop;
+  std::vector<Microseconds> fired;
+  EventLoop::EventId timer = 0;
+  std::function<void()> tick = [&] {
+    fired.push_back(loop.now());
+    if (fired.size() < 3) {
+      loop.rearm(timer, loop.now() + 7, tick);
+    }
+  };
+  loop.rearm(timer, 7, tick);
+  loop.run();
+  EXPECT_EQ(fired, (std::vector<Microseconds>{7, 14, 21}));
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(EventLoop, RunUntilNeverDispatchesADeferredEntryPastTheDeadline) {
+  // The deferred entry sits at the heap top under its queued time (10),
+  // with queued time <= deadline (20) < due time (30): run_until must
+  // re-key it and stop, not dispatch it.
+  EventLoop loop;
+  std::vector<Microseconds> fired;
+  EventLoop::EventId timer = loop.schedule_at(10, [&] { fired.push_back(-1); });
+  loop.schedule_at(25, [&] { fired.push_back(loop.now()); });
+  loop.run_until(0);  // both entries now in the heap; the timer on top
+  loop.rearm(timer, 30, [&] { fired.push_back(loop.now()); });
+  EXPECT_EQ(loop.run_until(20), 0u);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(loop.now(), 20);
+  EXPECT_EQ(loop.pending_events(), 2u);
+  EXPECT_EQ(loop.counters().rekeyed, 1u);
+  EXPECT_EQ(loop.run_until(30), 2u);
+  EXPECT_EQ(fired, (std::vector<Microseconds>{25, 30}));
+}
+
+TEST(EventLoop, CountersBalance) {
+  // Every published event ends dispatched, cancelled or still pending.
+  EventLoop loop;
+  EventLoop::EventId timer = 0;
+  for (int i = 1; i <= 100; ++i) {
+    loop.rearm(timer, i * 10, [] {});
+    const auto doomed = loop.schedule_at(i * 10 + 5, [] {});
+    loop.run_until(i * 10 - 3);
+    if (i % 3 == 0) {
+      loop.cancel(doomed);  // in the heap by now: a tombstone
+    }
+  }
+  const EventLoop::Counters& c = loop.counters();
+  EXPECT_EQ(c.scheduled, c.dispatched + c.cancelled + loop.pending_events());
+  EXPECT_GT(c.rearmed, 0u);
+  EXPECT_GT(c.tombstones, 0u);
+}
+
+/// Drives one loop through a seeded random mix of schedule, cancel,
+/// re-arm and run_until calls, made from the test body and from inside
+/// callbacks. With `in_place` the re-arms go through EventLoop::rearm;
+/// otherwise through the explicit cancel + schedule_at they must equal.
+/// Deadlines fall in [now, now + 20), so re-arms land later than, equal
+/// to and earlier than the pending entry, with many same-time ties.
+class TimerScript {
+ public:
+  TimerScript(bool in_place, std::uint64_t seed)
+      : in_place_{in_place}, rng_{seed} {}
+
+  /// One top-level call; returns what a run_until dispatched (0 if none).
+  std::size_t step() {
+    if (draw(5) == 0) {
+      return loop.run_until(loop.now() + static_cast<Microseconds>(draw(25)));
+    }
+    act();
+    return 0;
+  }
+
+  EventLoop loop;
+  std::vector<std::pair<Microseconds, int>> log;  // (now, tag) per dispatch
+  std::uint64_t arms{0};
+  std::uint64_t earlier{0};  // in-place mode: re-arms that fell back ...
+  std::uint64_t dead{0};     // ... for each of the two reasons
+
+ private:
+  static constexpr std::size_t kHandles = 6;
+
+  struct Fire {
+    TimerScript* script;
+    std::size_t handle;
+    int tag;
+    void operator()() const { script->fired(handle, tag); }
+  };
+
+  std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+  Microseconds deadline() {
+    return loop.now() + static_cast<Microseconds>(draw(20));
+  }
+
+  void act() {
+    const std::size_t k = draw(kHandles);
+    switch (draw(4)) {
+      case 0: {
+        const Microseconds at = deadline();
+        ids_[k] = loop.schedule_at(at, callback(k));
+        break;
+      }
+      case 1:
+        loop.cancel(ids_[k]);  // often an id that already ran
+        break;
+      default:
+        arm(k, deadline());
+        break;
+    }
+  }
+
+  void arm(std::size_t k, Microseconds at) {
+    ++arms;
+    if (in_place_) {
+      const std::uint64_t cancels = loop.counters().cancelled;
+      const EventLoop::EventId id = ids_[k];
+      loop.rearm(ids_[k], at, callback(k));
+      if (loop.counters().cancelled != cancels) {
+        ++earlier;  // pending, but queued later than `at`
+      } else if (ids_[k] != id) {
+        ++dead;  // the id already ran or was cancelled
+      }
+    } else {
+      loop.cancel(ids_[k]);
+      ids_[k] = loop.schedule_at(at, callback(k));
+    }
+  }
+
+  Fire callback(std::size_t k) { return Fire{this, k, next_tag_++}; }
+
+  void fired(std::size_t k, int tag) {
+    log.emplace_back(loop.now(), tag);
+    switch (draw(6)) {
+      case 0:
+        arm(k, deadline());  // its own handle: the id just ran
+        break;
+      case 1:
+        act();
+        break;
+      default:
+        break;
+    }
+  }
+
+  bool in_place_;
+  std::mt19937_64 rng_;
+  std::array<EventLoop::EventId, kHandles> ids_{};
+  int next_tag_{0};
+};
+
+TEST(EventLoop, RearmMatchesCancelAndScheduleOnRandomScripts) {
+  std::uint64_t in_place = 0;
+  std::uint64_t earlier = 0;
+  std::uint64_t dead = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    TimerScript lazy{true, seed};
+    TimerScript eager{false, seed};
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_EQ(lazy.step(), eager.step()) << "seed " << seed << " step " << i;
+      ASSERT_EQ(lazy.log, eager.log) << "seed " << seed << " step " << i;
+      ASSERT_EQ(lazy.loop.pending_events(), eager.loop.pending_events())
+          << "seed " << seed << " step " << i;
+      ASSERT_EQ(lazy.loop.now(), eager.loop.now());
+    }
+    ASSERT_EQ(lazy.loop.run(), eager.loop.run()) << "seed " << seed;
+    ASSERT_EQ(lazy.log, eager.log) << "seed " << seed;
+    ASSERT_EQ(lazy.loop.now(), eager.loop.now()) << "seed " << seed;
+    ASSERT_EQ(lazy.arms, eager.arms);
+
+    // Each in-place re-arm is one schedule the explicit path made.
+    const EventLoop::Counters& l = lazy.loop.counters();
+    const EventLoop::Counters& e = eager.loop.counters();
+    EXPECT_EQ(l.scheduled + l.rearmed, e.scheduled);
+    EXPECT_EQ(l.dispatched, e.dispatched);
+    EXPECT_EQ(e.rearmed, 0u);
+    EXPECT_EQ(l.rearmed + lazy.earlier + lazy.dead, lazy.arms);
+    in_place += l.rearmed;
+    earlier += lazy.earlier;
+    dead += lazy.dead;
+  }
+  // Every path of rearm() ran, many times over.
+  EXPECT_GT(in_place, 1000u);
+  EXPECT_GT(earlier, 1000u);
+  EXPECT_GT(dead, 1000u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/sim_fixture.hpp"
+#include "obs/trace.hpp"
 #include "trace/synthesis.hpp"
 #include "util/random.hpp"
 
@@ -255,6 +256,72 @@ TEST(Tcp, RetransmissionTimeoutRecoversFromAckLoss) {
   client.connection().send(payload);
   net.loop.run();
   EXPECT_EQ(server.received, payload);
+}
+
+/// Drops every packet, both ways, while `dropping` is set.
+class Blackout final : public NetworkElement {
+ public:
+  bool dropping{false};
+  void process(Packet&& packet, Direction direction) override {
+    if (!dropping) {
+      emit(std::move(packet), direction);
+    }
+  }
+};
+
+TEST(Tcp, AckAfterBackoffPullsTheRtoEarlier) {
+  // A blackout backs the RTO off (200 ms, then 400 ms, then 800 ms
+  // pending). The ACK for the second retransmission resets the backoff,
+  // so the next RTO is due at ack_time + rto() = ack_time + 200 ms, long
+  // before the backed-off deadline: the timer must move earlier.
+  SimNet net;
+  net.add_delay(10_ms);
+  auto box = std::make_unique<Blackout>();
+  Blackout& blackout = *box;
+  net.fabric.chain().push_back(std::move(box));
+  ServerApp server;
+  TcpListener listener{net.fabric, kServerAddr, server.accept_handler()};
+
+  obs::Tracer tracer;
+  TcpConnection::Config config;
+  config.tracer = &tracer;
+  bool watching = false;
+  Microseconds ack_time = -1;
+  TcpConnection::Callbacks callbacks;
+  callbacks.on_send_progress = [&] {
+    if (watching && ack_time < 0) {
+      ack_time = net.loop.now();
+    }
+  };
+  TcpClient client{net.fabric, kServerAddr, callbacks, config};
+  net.loop.run_until(100_ms);
+  ASSERT_TRUE(client.connection().established());  // srtt 20 ms: rto 200 ms
+
+  blackout.dropping = true;
+  client.connection().send(std::string(4 * kMss, 'x'));
+  net.loop.run_until(650_ms);  // RTOs at 300 ms and 700 ms (backoff 400)
+  blackout.dropping = false;
+  watching = true;
+  // Other traffic between the reset deadline and the backed-off one.
+  std::uint64_t retransmits_at_1s = 0;
+  net.loop.schedule_at(1_s, [&] {
+    retransmits_at_1s = client.connection().retransmissions();
+  });
+  net.loop.run();
+
+  ASSERT_EQ(ack_time, 720_ms);  // the 700 ms retransmission's ACK
+  std::vector<Microseconds> rtos;
+  for (const obs::TraceEvent& e : tracer.take().events) {
+    if (e.kind == obs::EventKind::kTcpRto) {
+      rtos.push_back(e.at);
+    }
+  }
+  ASSERT_GE(rtos.size(), 3u);
+  EXPECT_EQ(rtos[0], 300_ms);
+  EXPECT_EQ(rtos[1], 700_ms);
+  EXPECT_EQ(rtos[2], ack_time + 200_ms);  // not 700 ms + 800 ms
+  EXPECT_EQ(retransmits_at_1s, 3u);
+  EXPECT_EQ(server.received, std::string(4 * kMss, 'x'));
 }
 
 TEST(Tcp, BulkTransferIsZeroCopy) {

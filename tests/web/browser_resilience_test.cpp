@@ -200,6 +200,27 @@ TEST_P(BrowserResilience, DegradedPltStopsAtTheLastSuccess) {
   EXPECT_EQ(clean.degraded_page_load_time, clean.page_load_time);
 }
 
+TEST_P(BrowserResilience, StallTimerFiresStallTimeoutAfterTheLastCompletion) {
+  // Some objects stall and no deadline is set: only the stall timer ends
+  // the load, exactly stall_timeout after the last object completed. Every
+  // completion re-arms it; with no final layout cost the degraded PLT is
+  // that last completion.
+  BrowserConfig config;
+  config.compute_jitter_sigma = 0.0;
+  config.final_layout_cost = 0;
+  config.stall_timeout = 3_s;
+  FaultedHarness h{small_site(),
+                   fault::FaultPlan{fault::parse_fault_spec("stall:p=0.3"), 8},
+                   with_protocol(config)};
+  const PageLoadResult result = h.load("http://www.s.test/");
+  ASSERT_GT(result.objects_loaded, 1u);  // the root and more landed
+  ASSERT_GT(result.objects_failed, 0u);
+  ASSERT_FALSE(result.errors.empty());
+  EXPECT_EQ(result.errors.back(), "stall timeout");
+  EXPECT_EQ(result.page_load_time,
+            result.degraded_page_load_time + config.stall_timeout);
+}
+
 TEST_P(BrowserResilience, FaultedLoadIsDeterministic) {
   // Two identical harnesses, faults and retries engaged: byte-equal
   // outcome counters and identical PLTs.
