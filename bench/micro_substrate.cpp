@@ -10,6 +10,7 @@
 
 #include "bench/common.hpp"
 #include "http/parser.hpp"
+#include "net/element.hpp"
 #include "net/event_loop.hpp"
 #include "net/fabric.hpp"
 #include "net/link.hpp"
@@ -251,6 +252,33 @@ void BM_LinkForwardingFullQueue(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_LinkForwardingFullQueue)->Arg(4096);
+
+void BM_DelayLineInFlight(benchmark::State& state) {
+  // DelayShell + LinkShell's per-packet path: `range` packets kept in
+  // flight through a 10 ms DelayBox (a packet channel) and a 1000 Mbit/s
+  // trace link, each packet leaving the link re-entering the delay line.
+  // One iteration is 10 ms of simulated time, about `range` packets
+  // through each stage.
+  net::EventLoop loop;
+  net::DelayBox delay{loop, 10_ms};
+  net::LinkQueue link{loop, trace::constant_rate(1e9, 1_s),
+                      std::make_unique<net::InfiniteQueue>(),
+                      [&delay](net::Packet&& p) {
+                        delay.process(std::move(p), net::Direction::kUplink);
+                      }};
+  delay.set_forward(net::Direction::kUplink,
+                    [&link](net::Packet&& p) { link.accept(std::move(p)); });
+  for (int i = 0; i < state.range(0); ++i) {
+    net::Packet packet;
+    packet.tcp.payload = std::string(1400, 'x');
+    delay.process(std::move(packet), net::Direction::kUplink);
+  }
+  for (auto _ : state) {
+    loop.run_until(loop.now() + 10_ms);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(link.delivered_packets()));
+}
+BENCHMARK(BM_DelayLineInFlight)->Arg(256);
 
 void BM_TcpBulkTransfer(benchmark::State& state) {
   // End-to-end substrate cost of a bulk TCP transfer over a 1 Gbit/s link:

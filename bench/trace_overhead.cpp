@@ -149,6 +149,7 @@ int main() {
     loop_work.rearmed += c.rearmed;
     loop_work.rekeyed += c.rekeyed;
     loop_work.tombstones += c.tombstones;
+    loop_work.heap_pushes += c.heap_pushes;
   }
 
   std::vector<double> traced_plt_us;
@@ -243,10 +244,12 @@ int main() {
     return static_cast<double>(count) / loads;
   };
   std::printf("  loop      %.1f scheduled, %.1f dispatched, %.1f cancelled, "
-              "%.1f re-armed, %.1f re-keyed, %.1f tombstones per load\n",
+              "%.1f re-armed, %.1f re-keyed, %.1f tombstones, %.1f heap pushes "
+              "per load\n",
               per_load(loop_work.scheduled), per_load(loop_work.dispatched),
               per_load(loop_work.cancelled), per_load(loop_work.rearmed),
-              per_load(loop_work.rekeyed), per_load(loop_work.tombstones));
+              per_load(loop_work.rekeyed), per_load(loop_work.tombstones),
+              per_load(loop_work.heap_pushes));
   if (!ok) {
     return 1;
   }
@@ -278,6 +281,8 @@ int main() {
               0});
   report.add({"replay_loop_tombstones_per_load",
               per_load(loop_work.tombstones), 0, 0});
+  report.add({"replay_loop_heap_pushes_per_load",
+              per_load(loop_work.heap_pushes), 0, 0});
   const char* out = std::getenv("MAHI_OBS_JSON");
   report.write(out != nullptr ? out : "BENCH_obs.json");
   return 0;

@@ -9,7 +9,10 @@ namespace mahimahi::net {
 // --- DelayBox ---------------------------------------------------------------
 
 DelayBox::DelayBox(EventLoop& loop, Microseconds delay)
-    : loop_{loop}, delay_{delay} {
+    : loop_{loop},
+      delay_{delay},
+      lines_{{loop, [this](Packet&& p) { emit(std::move(p), Direction::kUplink); }},
+             {loop, [this](Packet&& p) { emit(std::move(p), Direction::kDownlink); }}} {
   MAHI_ASSERT_MSG(delay >= 0, "negative delay");
 }
 
@@ -18,14 +21,8 @@ void DelayBox::process(Packet&& packet, Direction direction) {
     emit(std::move(packet), direction);
     return;
   }
-  auto release = [this, packet = std::move(packet), direction]() mutable {
-    emit(std::move(packet), direction);
-  };
-  // Per-packet event on the hottest shell path (DelayShell wraps every
-  // experiment) — must use the loop's inline callback storage.
-  static_assert(EventLoop::Action::kFitsInline<decltype(release)>,
-                "delay-box packet lambda exceeds the inline callback buffer");
-  loop_.schedule_in(delay_, std::move(release));
+  lines_[direction == Direction::kUplink ? 0 : 1].push(loop_.now() + delay_,
+                                                       std::move(packet));
 }
 
 // --- LossBox ----------------------------------------------------------------
@@ -56,7 +53,10 @@ void MeterBox::process(Packet&& packet, Direction direction) {
 // --- ProcessingDelayBox -------------------------------------------------------
 
 ProcessingDelayBox::ProcessingDelayBox(EventLoop& loop, Microseconds per_packet_cost)
-    : loop_{loop}, cost_{per_packet_cost} {
+    : loop_{loop},
+      cost_{per_packet_cost},
+      lines_{{loop, [this](Packet&& p) { emit(std::move(p), Direction::kUplink); }},
+             {loop, [this](Packet&& p) { emit(std::move(p), Direction::kDownlink); }}} {
   MAHI_ASSERT(per_packet_cost >= 0);
 }
 
@@ -69,9 +69,7 @@ void ProcessingDelayBox::process(Packet&& packet, Direction direction) {
   const Microseconds start = std::max(loop_.now(), busy_until_[i]);
   const Microseconds done = start + cost_;
   busy_until_[i] = done;
-  loop_.schedule_at(done, [this, packet = std::move(packet), direction]() mutable {
-    emit(std::move(packet), direction);
-  });
+  lines_[i].push(done, std::move(packet));
 }
 
 // --- FlapBox ----------------------------------------------------------------

@@ -60,7 +60,8 @@ class PassthroughElement final : public NetworkElement {
 
 /// DelayShell's element: every packet, in both directions, is released
 /// exactly `delay` after it entered (a fixed per-packet one-way delay).
-/// FIFO order is preserved by the event loop's same-time tie-break.
+/// Each direction is one PacketChannel — a fixed delay keeps release times
+/// monotone — so packets leave in arrival order.
 class DelayBox final : public NetworkElement {
  public:
   DelayBox(EventLoop& loop, Microseconds delay);
@@ -72,6 +73,7 @@ class DelayBox final : public NetworkElement {
  private:
   EventLoop& loop_;
   Microseconds delay_;
+  PacketChannel lines_[2];  // uplink, downlink
 };
 
 /// mm-loss: drops packets i.i.d. with the configured probability per
@@ -128,6 +130,7 @@ class ProcessingDelayBox final : public NetworkElement {
   Microseconds cost_;
   // Per-direction time at which the "forwarding CPU" frees up.
   Microseconds busy_until_[2]{0, 0};
+  PacketChannel lines_[2];  // uplink, downlink: FIFO service per direction
 };
 
 /// Periodic link outage (fault injection): both directions drop every

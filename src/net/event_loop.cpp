@@ -21,8 +21,25 @@ void EventLoop::publish_event(Microseconds at, std::uint32_t slot) {
   ++counters_.scheduled;
 }
 
+EventLoop::~EventLoop() {
+  for (PacketChannel* channel : channels_) {
+    if (channel != nullptr) {
+      channel->loop_ = nullptr;
+    }
+  }
+}
+
 void EventLoop::drain_inbox() {
   for (const HeapEntry& entry : inbox_) {
+    if ((entry.slot & kChannelBit) != 0) {
+      if (channels_[entry.slot & ~kChannelBit] == nullptr) {
+        continue;  // destroyed before its entry ever reached the heap
+      }
+      heap_.push_back(entry);  // the channel's head key, unchanged since
+      sift_up(heap_.size() - 1);
+      ++counters_.heap_pushes;
+      continue;
+    }
     Slot& s = slot_at(entry.slot);
     if (s.generation != entry.generation) {
       release_slot(entry.slot);  // cancelled before ever entering the heap
@@ -33,6 +50,7 @@ void EventLoop::drain_inbox() {
     s.queued_at = s.due_at;
     heap_.push_back(HeapEntry{s.due_at, s.due_seq, entry.slot, entry.generation});
     sift_up(heap_.size() - 1);
+    ++counters_.heap_pushes;
   }
   inbox_.clear();
 }
@@ -78,9 +96,9 @@ std::uint32_t EventLoop::acquire_slot() {
     bump_generation(slot_at(slot));
     return slot;
   }
-  MAHI_ASSERT_MSG(slot_count_ < kNoFreeSlot, "slot arena exhausted");
+  MAHI_ASSERT_MSG(slot_count_ < kChannelBit, "slot arena exhausted");
   if (slot_count_ == slot_chunks_.size() * kSlotChunkSize) {
-    // for_overwrite: default-init only — no 47 KB zero-fill per chunk
+    // for_overwrite: default-init only — no 13 KB zero-fill per chunk
     // (Slot's members have initializers; the inline buffer needs none).
     slot_chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kSlotChunkSize));
   }
@@ -146,6 +164,14 @@ void EventLoop::replace_top(const HeapEntry& entry) {
 void EventLoop::settle_top() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
+    if ((top.slot & kChannelBit) != 0) {
+      if (channels_[top.slot & ~kChannelBit] != nullptr) {
+        return;  // a channel's entry is always under its head's key
+      }
+      pop_top();  // the channel was destroyed
+      ++counters_.tombstones;
+      continue;
+    }
     Slot& s = slot_at(top.slot);
     if (s.generation != top.generation) {
       pop_top();
@@ -171,9 +197,13 @@ bool EventLoop::pop_one() {
     return false;
   }
   const HeapEntry top = heap_.front();
+  MAHI_ASSERT(top.at >= now_);
+  if ((top.slot & kChannelBit) != 0) {
+    dispatch_channel(top);
+    return true;
+  }
   Slot& s = slot_at(top.slot);  // stable across arena growth
   MAHI_ASSERT(top.seq == s.due_seq && top.at == s.due_at);
-  MAHI_ASSERT(top.at >= now_);
   pop_top();
   // Invalidate the id before dispatch: a cancel of this event from
   // inside its own callback (or anything the callback triggers) is a
@@ -194,6 +224,38 @@ bool EventLoop::pop_one() {
   s.action.reset();
   release_slot(top.slot);
   return true;
+}
+
+void EventLoop::dispatch_channel(const HeapEntry& top) {
+  PacketChannel& channel = *channels_[top.slot & ~kChannelBit];
+  PacketChannel::Item& head = channel.front();
+  MAHI_ASSERT(top.seq == head.seq && top.at == head.at);
+  Packet packet = std::move(head.packet);
+  channel.head_ = (channel.head_ + 1) & (channel.capacity_ - 1);
+  // Re-enter under the next item's key before the sink runs, so the sink
+  // may push onto this channel.
+  if (--channel.count_ > 0) {
+    const PacketChannel::Item& next = channel.front();
+    replace_top(HeapEntry{next.at, next.seq, top.slot, 0});
+  } else {
+    pop_top();
+  }
+  --live_count_;
+  ++counters_.dispatched;
+  now_ = top.at;
+  channel.sink_(std::move(packet));
+}
+
+std::uint32_t EventLoop::register_channel(PacketChannel* channel) {
+  MAHI_ASSERT_MSG(channels_.size() < kChannelBit, "channel table exhausted");
+  channels_.push_back(channel);
+  return static_cast<std::uint32_t>(channels_.size() - 1);
+}
+
+void EventLoop::unregister_channel(const PacketChannel& channel) {
+  channels_[channel.index_] = nullptr;
+  live_count_ -= channel.count_;
+  counters_.cancelled += channel.count_;
 }
 
 void EventLoop::check_limit(std::size_t executed) const {
@@ -227,6 +289,55 @@ std::size_t EventLoop::run_until(Microseconds deadline) {
   }
   now_ = deadline;
   return executed;
+}
+
+// --- PacketChannel ----------------------------------------------------------
+
+PacketChannel::PacketChannel(EventLoop& loop, Sink sink)
+    : loop_{&loop}, sink_{std::move(sink)} {
+  MAHI_ASSERT(sink_ != nullptr);
+  index_ = loop.register_channel(this);  // last: nothing after it throws
+}
+
+PacketChannel::~PacketChannel() {
+  if (loop_ != nullptr) {
+    loop_->unregister_channel(*this);
+  }
+}
+
+void PacketChannel::push(Microseconds at, Packet&& packet) {
+  MAHI_ASSERT_MSG(loop_ != nullptr, "push onto a channel whose loop is gone");
+  EventLoop& loop = *loop_;
+  MAHI_ASSERT_MSG(at >= loop.now_,
+                  "scheduling into the past: " << at << " < " << loop.now_);
+  MAHI_ASSERT_MSG(at >= last_at_, "channel push out of order: "
+                                      << at << " < " << last_at_);
+  if (count_ == capacity_) {
+    grow();
+  }
+  Item& item = ring_[(head_ + count_) & (capacity_ - 1)];
+  item.at = at;
+  item.seq = loop.next_seq_++;
+  item.packet = std::move(packet);
+  last_at_ = at;
+  if (count_++ == 0) {
+    // The head enters the inbox exactly as a scheduled event would.
+    loop.inbox_.push_back(EventLoop::HeapEntry{
+        at, item.seq, index_ | EventLoop::kChannelBit, 0});
+  }
+  ++loop.live_count_;
+  ++loop.counters_.scheduled;
+}
+
+void PacketChannel::grow() {
+  const std::size_t capacity = capacity_ == 0 ? 4 : capacity_ * 2;
+  auto ring = std::make_unique<Item[]>(capacity);
+  for (std::size_t i = 0; i < count_; ++i) {
+    ring[i] = std::move(ring_[(head_ + i) & (capacity_ - 1)]);
+  }
+  ring_ = std::move(ring);
+  capacity_ = capacity;
+  head_ = 0;
 }
 
 }  // namespace mahimahi::net

@@ -1,14 +1,18 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "util/assert.hpp"
 #include "util/inline_function.hpp"
 #include "util/time.hpp"
 
 namespace mahimahi::net {
+
+class PacketChannel;
 
 /// Discrete-event scheduler with a virtual clock.
 ///
@@ -42,14 +46,36 @@ namespace mahimahi::net {
 /// A deadline earlier than the queued entry falls back to cancel +
 /// schedule_at. Invariant, checked at every dispatch: the entry's key
 /// equals its slot's due key, and now() never goes backwards.
+///
+/// Packet channels: packets in flight do not take slots. A PacketChannel
+/// (below) is a timed FIFO whose release times are monotone — a delay
+/// line, a per-origin propagation lane. Each push takes the next sequence
+/// number exactly as schedule_at would, but only the channel's head sits
+/// in the heap; after the head dispatches, the channel re-enters under its
+/// next item's key. Every key behind a channel's head is later than the
+/// head, so the global (at, seq) dispatch order is the one per-packet
+/// events would produce, at one heap entry per channel.
 class EventLoop {
  public:
   using EventId = std::uint64_t;
 
-  /// Inline capacity of the callback type, sized for the largest hot-path
-  /// lambda (the in-flight packet captures — see the static_asserts in
-  /// fabric.cpp and element.cpp). Larger callables still work; they
-  /// heap-allocate.
+  EventLoop() = default;
+  /// Detaches every live PacketChannel: a channel that outlives its loop
+  /// never touches it again.
+  ~EventLoop();
+  // Channels point back at the loop, so it is neither copied nor moved.
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+
+  /// Inline capacity of the callback type. Packets in flight travel in
+  /// PacketChannels, so the callers are timers and per-object application
+  /// events. Timers, DNS timeouts and origin think time capture at most
+  /// 56 bytes (LP64 libstdc++); the largest caller, the browser's retry
+  /// event, captures a pointer and a parsed http::Url (144 bytes), and 168
+  /// keeps it inline with room for one more field. The browser's
+  /// response, deadline and request-send events (184-288 bytes) box: one
+  /// allocation per fetched object, not per packet. Larger callables
+  /// still work; they heap-allocate.
   static constexpr std::size_t kInlineActionBytes = 168;
   using Action = util::InlineCallback<kInlineActionBytes>;
 
@@ -136,25 +162,33 @@ class EventLoop {
   void set_event_limit(std::size_t limit) { event_limit_ = limit; }
 
   /// Deterministic work counts since construction — a pure function of
-  /// the simulation, like its output bytes. Every schedule_* call that
-  /// publishes an event counts once in `scheduled`, which therefore
-  /// equals dispatched + cancelled + pending_events().
+  /// the simulation, like its output bytes. Every schedule_* call and
+  /// every PacketChannel push counts once in `scheduled`, which therefore
+  /// equals dispatched + cancelled + pending_events() (a channel destroyed
+  /// with packets queued counts them as cancelled).
   struct Counters {
-    std::uint64_t scheduled{0};   // events published by schedule_*
-    std::uint64_t dispatched{0};  // callbacks run
-    std::uint64_t cancelled{0};   // pending events cancelled
-    std::uint64_t rearmed{0};     // re-arms deferred in place
-    std::uint64_t rekeyed{0};     // deferred entries re-pushed at the top
-    std::uint64_t tombstones{0};  // cancelled entries popped off the heap
+    std::uint64_t scheduled{0};    // events published by schedule_* or push
+    std::uint64_t dispatched{0};   // callbacks run and packets released
+    std::uint64_t cancelled{0};    // pending events cancelled
+    std::uint64_t rearmed{0};      // re-arms deferred in place
+    std::uint64_t rekeyed{0};      // deferred entries re-pushed at the top
+    std::uint64_t tombstones{0};   // dead entries popped off the heap
+    std::uint64_t heap_pushes{0};  // entries pushed onto the heap from
+                                   // the inbox (a re-key or a channel's
+                                   // re-entry replaces the top in place)
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
+  friend class PacketChannel;
+
   struct HeapEntry {
     Microseconds at;
     std::uint64_t seq;         // FIFO tie-break among same-time events
-    std::uint32_t slot;        // index into the slot arena
+    std::uint32_t slot;        // index into the slot arena, or a channel
+                               // index with kChannelBit set
     std::uint32_t generation;  // live iff it matches the slot's generation
+                               // (unused for channels)
   };
 
   /// A pending event's callback plus the generation stamp that validates
@@ -172,7 +206,8 @@ class EventLoop {
   };
 
   static constexpr std::uint32_t kNoFreeSlot = 0xFFFF'FFFF;
-  static constexpr std::size_t kSlotChunkShift = 8;  // 256 slots per chunk
+  static constexpr std::uint32_t kChannelBit = 0x8000'0000;
+  static constexpr std::size_t kSlotChunkShift = 6;  // 64 slots per chunk
   static constexpr std::size_t kSlotChunkSize = std::size_t{1} << kSlotChunkShift;
 
   static constexpr bool earlier(const HeapEntry& a, const HeapEntry& b) {
@@ -237,6 +272,10 @@ class EventLoop {
   /// under its due key.
   void settle_top();
   bool pop_one();
+  /// Release the head packet of the channel at the heap top.
+  void dispatch_channel(const HeapEntry& top);
+  std::uint32_t register_channel(PacketChannel* channel);
+  void unregister_channel(const PacketChannel& channel);
   void check_limit(std::size_t executed) const;
 
   Microseconds now_{0};
@@ -250,7 +289,58 @@ class EventLoop {
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::size_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};
+  /// Every channel registered on this loop, by index; null once
+  /// destroyed. Indices are never reused, so an entry a destroyed channel
+  /// left queued stays dead.
+  std::vector<PacketChannel*> channels_;
   Counters counters_;
+};
+
+/// A timed FIFO of packets released to a sink: the event loop's form of
+/// DelayShell's packet queue. push() reserves the dispatch key
+/// (at, next sequence number) exactly as schedule_at would, so packets
+/// are released in the order per-packet events would have run, and
+/// counted as events (scheduled, dispatched, pending_events(), the event
+/// limit). Release times must be monotone per channel — one channel per
+/// stream whose delay is fixed or whose server is FIFO.
+///
+/// The ring allocates on the first push and grows by doubling. The sink
+/// may push onto this channel. Destroying a channel drops its queued
+/// packets (they leave pending_events() as cancelled); the loop never
+/// touches it again.
+class PacketChannel {
+ public:
+  using Sink = std::function<void(Packet&&)>;
+
+  PacketChannel(EventLoop& loop, Sink sink);
+  ~PacketChannel();
+  PacketChannel(const PacketChannel&) = delete;
+  PacketChannel& operator=(const PacketChannel&) = delete;
+
+  /// Release `packet` to the sink at absolute time `at`: at >= now() and
+  /// at >= every earlier push's time.
+  void push(Microseconds at, Packet&& packet);
+
+ private:
+  friend class EventLoop;
+
+  struct Item {
+    Microseconds at{0};
+    std::uint64_t seq{0};
+    Packet packet;
+  };
+
+  [[nodiscard]] Item& front() { return ring_[head_]; }
+  void grow();
+
+  EventLoop* loop_;  // null once the loop is destroyed
+  Sink sink_;
+  std::unique_ptr<Item[]> ring_;  // capacity_ items, a power of two
+  std::size_t capacity_{0};
+  std::size_t head_{0};
+  std::size_t count_{0};
+  Microseconds last_at_{0};
+  std::uint32_t index_{0};  // registration in the loop
 };
 
 /// A session-scoped view of a shared loop's clock: time zero is the

@@ -14,7 +14,16 @@ constexpr std::size_t side_index(Side side) {
 
 }  // namespace
 
-Fabric::Fabric(EventLoop& loop) : loop_{loop} {
+Fabric::OriginLanes::OriginLanes(Fabric& fabric)
+    : inject{fabric.loop_,
+             [&fabric](Packet&& p) { fabric.chain_.send_downlink(std::move(p)); }},
+      deliver{fabric.loop_, [&fabric](Packet&& p) {
+                fabric.dispatch(Side::kServer, std::move(p), /*allow_default=*/true);
+              }} {}
+
+Fabric::Fabric(EventLoop& loop)
+    : loop_{loop},
+      client_inject_{loop, [this](Packet&& p) { chain_.send_uplink(std::move(p)); }} {
   chain_.set_outputs(
       // Uplink exit: deliver on the server side.
       [this](Packet&& p) { deliver(Side::kServer, std::move(p)); },
@@ -45,20 +54,16 @@ void Fabric::send(Side from, Packet&& packet) {
   // delivered before send() returns (as in a physical network). This bars
   // endpoint re-entrancy even when the chain itself adds zero latency.
   // Packets leaving a delayed server pay that origin's one-way delay here.
-  const Microseconds delay =
-      from == Side::kServer ? server_delay(packet.src.ip) : 0;
-  auto inject = [this, from, p = std::move(packet)]() mutable {
-    if (from == Side::kClient) {
-      chain_.send_uplink(std::move(p));
-    } else {
-      chain_.send_downlink(std::move(p));
-    }
-  };
-  // The per-packet event must use the loop's inline callback storage —
-  // a heap allocation here would be one per simulated packet.
-  static_assert(EventLoop::Action::kFitsInline<decltype(inject)>,
-                "fabric packet lambda exceeds the inline callback buffer");
-  loop_.schedule_in(delay, std::move(inject));
+  if (from == Side::kClient) {
+    client_inject_.push(loop_.now(), std::move(packet));
+    return;
+  }
+  const Microseconds delay = server_delay(packet.src.ip);
+  origin_lanes(delay).inject.push(loop_.now() + delay, std::move(packet));
+}
+
+Fabric::OriginLanes& Fabric::origin_lanes(Microseconds delay) {
+  return lanes_.try_emplace(delay, *this).first->second;
 }
 
 void Fabric::set_server_default(Handler handler) {
@@ -84,12 +89,7 @@ void Fabric::deliver(Side side, Packet&& packet) {
   const Microseconds delay =
       side == Side::kServer ? server_delay(packet.dst.ip) : 0;
   if (delay > 0) {
-    auto deferred = [this, side, p = std::move(packet)]() mutable {
-      dispatch(side, std::move(p), /*allow_default=*/true);
-    };
-    static_assert(EventLoop::Action::kFitsInline<decltype(deferred)>,
-                  "fabric packet lambda exceeds the inline callback buffer");
-    loop_.schedule_in(delay, std::move(deferred));
+    origin_lanes(delay).deliver.push(loop_.now() + delay, std::move(packet));
     return;
   }
   dispatch(side, std::move(packet), /*allow_default=*/true);

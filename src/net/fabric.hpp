@@ -81,14 +81,26 @@ class Fabric {
   [[nodiscard]] Ipv4 client_ip() const { return client_ip_; }
 
  private:
+  /// The packet lanes shared by all origins with one one-way delay (their
+  /// key in lanes_): a constant delay keeps each lane's release times
+  /// monotone, whatever set_server_delay later does to an origin.
+  struct OriginLanes {
+    explicit OriginLanes(Fabric& fabric);
+    PacketChannel inject;   // server-side sends, into the chain downlink
+    PacketChannel deliver;  // chain uplink exits, to the server endpoint
+  };
+
   void deliver(Side side, Packet&& packet);
   void dispatch(Side side, Packet&& packet, bool allow_default);
+  OriginLanes& origin_lanes(Microseconds delay);
 
   EventLoop& loop_;
   Chain chain_;
   std::unordered_map<Address, Handler> endpoints_[2];
   Handler server_default_;
   std::unordered_map<Ipv4, Microseconds> server_delays_;
+  PacketChannel client_inject_;  // client-side sends, into the chain uplink
+  std::unordered_map<Microseconds, OriginLanes> lanes_;  // by one-way delay
   Ipv4 client_ip_{Ipv4{100, 64, 0, 2}};
   std::uint16_t next_client_port_{49152};
   AddressAllocator server_ips_{Ipv4{10, 0, 0, 1}};

@@ -52,13 +52,14 @@ void LinkQueue::schedule_next_opportunity() {
     return;  // nothing to deliver; the link idles until the next arrival
   }
   // The next usable opportunity never moves backwards: an idle period
-  // cannot bank opportunities (mahimahi discards unused ones).
-  const std::uint64_t candidate =
-      trace_.first_opportunity_at_or_after(loop_.now());
-  if (candidate > next_opportunity_) {
-    next_opportunity_ = candidate;
+  // cannot bank opportunities (mahimahi discards unused ones). Only an
+  // idle gap can leave it in the past; otherwise the first opportunity at
+  // or after now() is at or before it, and the search is skipped.
+  Microseconds at = trace_.opportunity_time(next_opportunity_);
+  if (at < loop_.now()) {
+    next_opportunity_ = trace_.first_opportunity_at_or_after(loop_.now());
+    at = trace_.opportunity_time(next_opportunity_);
   }
-  const Microseconds at = trace_.opportunity_time(next_opportunity_);
   pending_event_ = loop_.schedule_at(at, [this] {
     pending_event_ = 0;
     use_opportunity();

@@ -12,8 +12,7 @@ namespace mahimahi::util {
 /// stored inside the object itself — no heap allocation on construction,
 /// move, or destruction. Larger callables transparently fall back to a
 /// heap box. This is the EventLoop's callback type; the capacity is chosen
-/// there so the packet-carrying lambdas on the simulation hot path all fit
-/// inline (see the static_asserts at the capture sites).
+/// there (see EventLoop::kInlineActionBytes).
 template <std::size_t Capacity>
 class InlineCallback {
   static_assert(Capacity >= sizeof(void*), "capacity must hold a pointer");

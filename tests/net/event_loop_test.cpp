@@ -5,7 +5,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -579,6 +581,308 @@ TEST(EventLoop, RearmMatchesCancelAndScheduleOnRandomScripts) {
   EXPECT_GT(in_place, 1000u);
   EXPECT_GT(earlier, 1000u);
   EXPECT_GT(dead, 1000u);
+}
+
+// --- PacketChannel ----------------------------------------------------------
+
+Packet tagged(std::uint64_t tag) {
+  Packet p;
+  p.id = tag;
+  return p;
+}
+
+TEST(PacketChannel, ReleasesInPushOrderInterleavedWithEvents) {
+  EventLoop loop;
+  std::vector<std::pair<Microseconds, std::uint64_t>> log;
+  PacketChannel channel{loop, [&](Packet&& p) { log.emplace_back(loop.now(), p.id); }};
+  channel.push(10, tagged(1));
+  loop.schedule_at(10, [&] { log.emplace_back(loop.now(), 2); });
+  channel.push(10, tagged(3));
+  channel.push(20, tagged(4));
+  EXPECT_EQ(loop.pending_events(), 4u);
+  EXPECT_EQ(loop.run(), 4u);
+  using Log = std::vector<std::pair<Microseconds, std::uint64_t>>;
+  EXPECT_EQ(log, (Log{{10, 1}, {10, 2}, {10, 3}, {20, 4}}));
+  EXPECT_TRUE(loop.idle());
+}
+
+TEST(PacketChannel, SinkMayPushOntoItsOwnChannel) {
+  EventLoop loop;
+  std::vector<Microseconds> times;
+  std::unique_ptr<PacketChannel> channel;
+  channel = std::make_unique<PacketChannel>(loop, [&](Packet&& p) {
+    times.push_back(loop.now());
+    if (p.id < 5) {
+      p.id += 1;
+      channel->push(loop.now() + 10, std::move(p));
+      channel->push(loop.now() + 10, tagged(100));  // ties the re-push
+    }
+  });
+  channel->push(0, tagged(1));
+  EXPECT_EQ(loop.run(), 9u);
+  EXPECT_EQ(times, (std::vector<Microseconds>{0, 10, 10, 20, 20, 30, 30, 40, 40}));
+  EXPECT_EQ(loop.counters().scheduled, 9u);
+  EXPECT_EQ(loop.counters().dispatched, 9u);
+}
+
+TEST(PacketChannel, RunUntilReleasesAHeadAtTheDeadlineButNotPastIt) {
+  EventLoop loop;
+  std::vector<std::uint64_t> released;
+  PacketChannel channel{loop, [&](Packet&& p) { released.push_back(p.id); }};
+  channel.push(100, tagged(1));
+  channel.push(101, tagged(2));
+  EXPECT_EQ(loop.run_until(100), 1u);
+  EXPECT_EQ(released, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(loop.now(), 100);
+  EXPECT_EQ(loop.pending_events(), 1u);
+  EXPECT_EQ(loop.run_until(100), 0u);
+  EXPECT_EQ(loop.run_until(101), 1u);
+  EXPECT_EQ(released, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(PacketChannel, EventLimitCountsChannelReleases) {
+  EventLoop loop;
+  loop.set_event_limit(50);
+  std::unique_ptr<PacketChannel> channel;
+  channel = std::make_unique<PacketChannel>(loop, [&](Packet&& p) {
+    channel->push(loop.now() + 1, std::move(p));  // forever
+  });
+  channel->push(0, tagged(1));
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_EQ(loop.counters().dispatched, 51u);
+}
+
+TEST(PacketChannel, NextItemStillReleasesAfterASinkThrows) {
+  EventLoop loop;
+  std::vector<std::uint64_t> released;
+  PacketChannel channel{loop, [&](Packet&& p) {
+    if (p.id == 1) {
+      throw std::runtime_error{"sink failure"};
+    }
+    released.push_back(p.id);
+  }};
+  channel.push(5, tagged(1));
+  channel.push(5, tagged(2));
+  channel.push(7, tagged(3));
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_EQ(loop.pending_events(), 2u);
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(released, (std::vector<std::uint64_t>{2, 3}));
+  const EventLoop::Counters& c = loop.counters();
+  EXPECT_EQ(c.scheduled, c.dispatched + c.cancelled + loop.pending_events());
+}
+
+TEST(PacketChannel, DestroyedChannelDropsItsPacketsAndIsNeverTouched) {
+  EventLoop loop;
+  int timers = 0;
+  std::vector<std::uint64_t> released;
+  auto channel = std::make_unique<PacketChannel>(
+      loop, [&](Packet&& p) { released.push_back(p.id); });
+  // One channel dies with its entry still in the inbox, one after its
+  // entry reached the heap.
+  auto fresh = std::make_unique<PacketChannel>(loop, [](Packet&&) { FAIL(); });
+  fresh->push(50, tagged(9));
+  fresh.reset();
+  channel->push(10, tagged(1));
+  channel->push(20, tagged(2));
+  channel->push(30, tagged(3));
+  loop.schedule_at(40, [&] { ++timers; });
+  EXPECT_EQ(loop.run_until(10), 1u);
+  EXPECT_EQ(loop.pending_events(), 3u);
+  channel.reset();
+  EXPECT_EQ(loop.pending_events(), 1u);
+  PacketChannel next{loop, [&](Packet&& p) { released.push_back(p.id); }};
+  next.push(25, tagged(4));
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(released, (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_EQ(timers, 1);
+  const EventLoop::Counters& c = loop.counters();
+  EXPECT_EQ(c.cancelled, 3u);
+  EXPECT_EQ(c.tombstones, 1u);  // the heap entry; the inbox one never got there
+  EXPECT_EQ(c.scheduled, c.dispatched + c.cancelled + loop.pending_events());
+}
+
+TEST(PacketChannel, ChannelMayOutliveItsLoop) {
+  auto loop = std::make_unique<EventLoop>();
+  PacketChannel channel{*loop, [](Packet&&) {}};
+  channel.push(10, tagged(1));
+  loop.reset();
+  EXPECT_THROW(channel.push(20, tagged(2)), InternalError);
+}
+
+TEST(PacketChannel, PushOutOfOrderOrIntoThePastThrows) {
+  EventLoop loop;
+  PacketChannel channel{loop, [](Packet&&) {}};
+  channel.push(100, tagged(1));
+  EXPECT_THROW(channel.push(50, tagged(2)), InternalError);
+  channel.push(100, tagged(3));  // a tie is in order
+  loop.run();
+  EXPECT_THROW(channel.push(99, tagged(4)), InternalError);
+  EXPECT_EQ(loop.counters().scheduled, 2u);
+}
+
+TEST(PacketChannel, RingGrowthKeepsOrderAcrossTheWrap) {
+  EventLoop loop;
+  std::vector<std::uint64_t> released;
+  PacketChannel channel{loop, [&](Packet&& p) { released.push_back(p.id); }};
+  std::uint64_t next = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Push more than are released each round, so the ring wraps and grows
+    // with items in flight.
+    for (int i = 0; i < 3 + round; ++i) {
+      channel.push(loop.now() + 1 + round, tagged(next++));
+    }
+    loop.run_until(loop.now() + 1 + round);
+  }
+  loop.run();
+  std::vector<std::uint64_t> expected(next);
+  for (std::uint64_t i = 0; i < next; ++i) {
+    expected[i] = i;
+  }
+  EXPECT_EQ(released, expected);
+}
+
+/// Drives one loop through a seeded random mix of packet pushes onto
+/// several monotone streams, plain timers, cancels, re-arms and run_until
+/// calls, made from the test body and from inside callbacks and sinks.
+/// With `channels` each stream is a PacketChannel; otherwise each packet
+/// is its own schedule_at event, which the channel must equal.
+class ChannelScript {
+ public:
+  ChannelScript(bool channels, std::uint64_t seed) : rng_{seed} {
+    if (channels) {
+      for (std::size_t k = 0; k < kStreams; ++k) {
+        channels_[k] = std::make_unique<PacketChannel>(
+            loop, [this, k](Packet&& p) { released(k, std::move(p)); });
+      }
+    }
+  }
+
+  std::size_t step() {
+    if (draw(5) == 0) {
+      return loop.run_until(loop.now() + static_cast<Microseconds>(draw(25)));
+    }
+    act();
+    return 0;
+  }
+
+  EventLoop loop;
+  std::vector<std::pair<Microseconds, std::uint64_t>> log;  // (now, tag)
+  std::uint64_t pushes{0};
+
+ private:
+  static constexpr std::size_t kStreams = 3;
+  static constexpr std::size_t kHandles = 4;
+
+  std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+
+  void act() {
+    const std::size_t k = draw(kHandles);
+    switch (draw(6)) {
+      case 0:
+      case 1:
+        push(draw(kStreams));
+        break;
+      case 2:
+        ids_[k] = loop.schedule_at(
+            loop.now() + static_cast<Microseconds>(draw(20)), timer());
+        break;
+      case 3:
+        loop.cancel(ids_[k]);
+        break;
+      default:
+        loop.rearm(ids_[k], loop.now() + static_cast<Microseconds>(draw(20)),
+                   timer());
+        break;
+    }
+  }
+
+  /// A stream's release times are monotone: a FIFO server whose next
+  /// release is no earlier than its last (ties are common).
+  void push(std::size_t k) {
+    ++pushes;
+    const Microseconds at = std::max(loop.now(), last_at_[k]) +
+                            static_cast<Microseconds>(draw(8));
+    last_at_[k] = at;
+    Packet packet;
+    packet.id = next_tag_++;
+    if (channels_[k] != nullptr) {
+      channels_[k]->push(at, std::move(packet));
+    } else {
+      loop.schedule_at(at, [this, k, p = std::move(packet)]() mutable {
+        released(k, std::move(p));
+      });
+    }
+  }
+
+  std::function<void()> timer() {
+    return [this, tag = next_tag_++] {
+      log.emplace_back(loop.now(), tag);
+      if (draw(4) == 0) {
+        act();
+      }
+    };
+  }
+
+  void released(std::size_t k, Packet&& packet) {
+    log.emplace_back(loop.now(), packet.id);
+    switch (draw(5)) {
+      case 0:
+        push(k);  // its own stream, from inside the sink
+        break;
+      case 1:
+        act();
+        break;
+      default:
+        break;
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::array<std::unique_ptr<PacketChannel>, kStreams> channels_{};
+  std::array<Microseconds, kStreams> last_at_{};
+  std::array<EventLoop::EventId, kHandles> ids_{};
+  std::uint64_t next_tag_{0};
+};
+
+TEST(PacketChannel, MatchesPerPacketEventsOnRandomScripts) {
+  std::uint64_t pushes = 0;
+  std::uint64_t channel_heap_pushes = 0;
+  std::uint64_t event_heap_pushes = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    ChannelScript channel{true, seed};
+    ChannelScript events{false, seed};
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_EQ(channel.step(), events.step()) << "seed " << seed << " step " << i;
+      ASSERT_EQ(channel.log, events.log) << "seed " << seed << " step " << i;
+      ASSERT_EQ(channel.loop.pending_events(), events.loop.pending_events())
+          << "seed " << seed << " step " << i;
+      ASSERT_EQ(channel.loop.counters().scheduled, events.loop.counters().scheduled)
+          << "seed " << seed << " step " << i;
+      ASSERT_EQ(channel.loop.counters().dispatched,
+                events.loop.counters().dispatched)
+          << "seed " << seed << " step " << i;
+      ASSERT_EQ(channel.loop.now(), events.loop.now());
+    }
+    ASSERT_EQ(channel.loop.run(), events.loop.run()) << "seed " << seed;
+    ASSERT_EQ(channel.log, events.log) << "seed " << seed;
+    ASSERT_EQ(channel.loop.now(), events.loop.now()) << "seed " << seed;
+    ASSERT_EQ(channel.pushes, events.pushes);
+    const EventLoop::Counters& c = channel.loop.counters();
+    const EventLoop::Counters& e = events.loop.counters();
+    EXPECT_EQ(c.scheduled, e.scheduled);
+    EXPECT_EQ(c.dispatched, e.dispatched);
+    EXPECT_EQ(c.cancelled, e.cancelled);
+    EXPECT_EQ(c.rearmed, e.rearmed);
+    // A packet queued behind its channel's head enters the heap as a
+    // re-entry in place of the head, not as a push.
+    EXPECT_LE(c.heap_pushes, e.heap_pushes);
+    pushes += channel.pushes;
+    channel_heap_pushes += c.heap_pushes;
+    event_heap_pushes += e.heap_pushes;
+  }
+  EXPECT_GT(pushes, 10000u);
+  EXPECT_LT(channel_heap_pushes, event_heap_pushes);
 }
 
 }  // namespace

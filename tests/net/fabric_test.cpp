@@ -155,5 +155,68 @@ TEST(Fabric, TwoFabricsShareNothing) {
   EXPECT_EQ(b_count, 0);
 }
 
+/// Two origins with different one-way delays, sends interleaved from both
+/// sides at two instants. Each packet is released at its send time plus
+/// its origin's delay; packets due at the same time leave in the order
+/// their releases were scheduled (an injection is scheduled at send(), a
+/// delivery when the packet exits the chain).
+TEST(Fabric, PerOriginLanesKeepTheScheduledOrder) {
+  FabricHarness h;
+  const Address a{Ipv4{10, 0, 0, 5}, 80};
+  const Address b{Ipv4{10, 0, 0, 6}, 80};
+  h.fabric.set_server_delay(a.ip, 5_ms);
+  h.fabric.set_server_delay(b.ip, 2_ms);
+  const Address client = h.fabric.allocate_client_address();
+
+  struct Arrival {
+    Microseconds at;
+    char where;
+    std::uint64_t id;
+    bool operator==(const Arrival&) const = default;
+  };
+  std::vector<Arrival> log;
+  const auto recorder = [&](char where) {
+    return [&log, &h, where](Packet&& p) { log.push_back({h.loop.now(), where, p.id}); };
+  };
+  h.fabric.bind(Side::kServer, a, recorder('A'));
+  h.fabric.bind(Side::kServer, b, recorder('B'));
+  h.fabric.bind(Side::kClient, client, recorder('C'));
+
+  h.loop.schedule_at(0, [&] {
+    h.fabric.send(Side::kClient, make_packet(client, a));  // id 1: A at 5
+    h.fabric.send(Side::kClient, make_packet(client, b));  // id 2: B at 2
+    h.fabric.send(Side::kServer, make_packet(a, client));  // id 3: C at 5
+    h.fabric.send(Side::kServer, make_packet(b, client));  // id 4: C at 2
+  });
+  h.loop.schedule_at(1_ms, [&] {
+    h.fabric.send(Side::kClient, make_packet(client, b));  // id 5: B at 3
+    h.fabric.send(Side::kServer, make_packet(a, client));  // id 6: C at 6
+    h.fabric.send(Side::kClient, make_packet(client, a));  // id 7: A at 6
+  });
+  h.loop.run();
+  // At 2 ms, id 4's injection (scheduled at 0 by send) precedes id 2's
+  // delivery (scheduled at 0 when it left the chain, after send returned);
+  // likewise at 5 ms (ids 3, 1) and at 6 ms (ids 6, 7).
+  EXPECT_EQ(log, (std::vector<Arrival>{{2_ms, 'C', 4},
+                                       {2_ms, 'B', 2},
+                                       {3_ms, 'B', 5},
+                                       {5_ms, 'C', 3},
+                                       {5_ms, 'A', 1},
+                                       {6_ms, 'C', 6},
+                                       {6_ms, 'A', 7}}));
+
+  // A delay lowered mid-flight: the later packet overtakes the earlier one.
+  log.clear();
+  h.loop.schedule_at(10_ms, [&] {
+    h.fabric.send(Side::kClient, make_packet(client, a));  // id 8: A at 15
+  });
+  h.loop.schedule_at(12_ms, [&] {
+    h.fabric.set_server_delay(a.ip, 1_ms);
+    h.fabric.send(Side::kClient, make_packet(client, a));  // id 9: A at 13
+  });
+  h.loop.run();
+  EXPECT_EQ(log, (std::vector<Arrival>{{13_ms, 'A', 9}, {15_ms, 'A', 8}}));
+}
+
 }  // namespace
 }  // namespace mahimahi::net

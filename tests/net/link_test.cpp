@@ -51,6 +51,22 @@ TEST(LinkQueue, MissedOpportunitiesAreNotBanked) {
   EXPECT_EQ(h.delivered[0].second, 30_ms);
 }
 
+TEST(LinkQueue, ArrivalAfterAnIdleGapTakesTheFirstOpportunityAtOrAfterIt) {
+  // Opportunities at 10, 20 and 30 ms of every 30 ms lap.
+  LinkHarness h{trace::PacketTrace{{10_ms, 20_ms, 30_ms}}};
+  // The first packet leaves at 10 ms; the link then idles for longer than
+  // a lap. The second arrives exactly at lap 2's last opportunity (90 ms,
+  // on the lap boundary), the third while the next one (100 ms) is still
+  // ahead, the fourth after another multi-lap gap.
+  h.loop.schedule_at(0, [&] { h.link->accept(make_packet(1, 100)); });
+  h.loop.schedule_at(90_ms, [&] { h.link->accept(make_packet(2, 100)); });
+  h.loop.schedule_at(91_ms, [&] { h.link->accept(make_packet(3, 100)); });
+  h.loop.schedule_at(195_ms, [&] { h.link->accept(make_packet(4, 100)); });
+  h.loop.run();
+  EXPECT_EQ(h.delivered, (std::vector<std::pair<std::uint64_t, Microseconds>>{
+                             {1, 10_ms}, {2, 90_ms}, {3, 100_ms}, {4, 200_ms}}));
+}
+
 TEST(LinkQueue, BackToBackPacketsUseConsecutiveOpportunities) {
   LinkHarness h{trace::PacketTrace{{10_ms, 20_ms, 30_ms, 40_ms}}};
   h.loop.schedule_at(0, [&] {
