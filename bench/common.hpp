@@ -8,11 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_runner.hpp"
-#include "core/sessions.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
-#include "util/statistics.hpp"
 
 namespace mahimahi::bench {
 

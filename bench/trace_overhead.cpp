@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "core/sessions.hpp"
 #include "experiment/runner.hpp"
 #include "corpus/site_generator.hpp"
 #include "net/event_loop.hpp"

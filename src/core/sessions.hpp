@@ -76,8 +76,7 @@ util::Rng session_load_rng(const SessionConfig& config, int load_index);
 /// server per recorded (IP, port) (or the single-server ablation), a DNS
 /// server, the fault plan's injectors and the nested shells. Browsers are
 /// added by the owner: ReplayWorld adds one, fleet::SessionMux one per
-/// session — into a namespace of its own (isolated mode) or into one
-/// namespace shared by the whole fleet (shared world). Every namespace,
+/// session into one namespace shared by the whole fleet. Every namespace,
 /// solo or shared, is built here, so a fault spec or shell stack means the
 /// same thing in both.
 class ReplayNamespace {

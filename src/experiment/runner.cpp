@@ -438,7 +438,6 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
           mux_config.stagger = cell.fleet.stagger;
           mux_config.session = std::move(session_config);
           mux_config.origin = cell_origin_options(cell);
-          mux_config.shared_world = true;
           fleet::SessionMux mux{entry.store, entry.site.primary_url(),
                                 mux_config};
           for (int s = 0; s < cell.fleet.sessions; ++s) {

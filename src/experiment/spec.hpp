@@ -85,7 +85,7 @@ struct SiteAxis {
 
 /// Axis entry: offered load — how many concurrent emulated users load the
 /// cell's page per measurement. sessions == 1 is the classic single-user
-/// cell; sessions > 1 runs a fleet::SessionMux in shared-world mode, so
+/// cell; sessions > 1 runs a fleet::SessionMux (one shared world), so
 /// the users contend for the cell's origin servers and link bandwidth and
 /// the cell's PLT distribution degrades with fleet size (the PLT-vs-load
 /// grid). Each load of a fleet cell is one indivisible simulation, so the

@@ -31,9 +31,8 @@ void append_outcome_line(std::string& out, const SessionOutcome& o) {
 /// Safety valve forwarded to the loop (see EventLoop::set_event_limit).
 constexpr std::size_t kEventLimit = 2'000'000'000;
 
-/// Session i's seed: forked from the fleet seed by global index alone —
-/// the (fleet_seed, session_index) contract. Removing or re-sharding any
-/// other session cannot disturb this value.
+/// Session k's seed: forked from the fleet seed by index alone — the
+/// (fleet_seed, session_index) contract.
 std::uint64_t derive_session_seed(std::uint64_t fleet_seed, int index) {
   util::Rng root{fleet_seed};
   return root.fork("session-" + std::to_string(index)).next();
@@ -67,34 +66,36 @@ std::string serialize_outcomes(const std::vector<SessionOutcome>& outcomes) {
 SessionMux::SessionMux(const record::RecordStore& store, std::string url,
                        MuxConfig config)
     : store_{store}, url_{std::move(url)}, config_{std::move(config)} {
+  if (!config_.shared_world) {
+    throw std::invalid_argument{
+        "SessionMux runs one shared world; a session with a world of its "
+        "own is a solo load (core::ReplaySession)"};
+  }
   MAHI_ASSERT_MSG(config_.stagger >= 0, "fleet stagger must be >= 0");
   loop_.set_event_limit(kEventLimit);
-  if (config_.shared_world) {
-    // The shared namespace belongs to no one session: its fault plan and
-    // shells fork from the fleet seed, so every session observes the same
-    // flap/crash/DNS schedule (a shared world never splits across muxes),
-    // and its trace events carry session -1.
-    const util::Rng rng{config_.fleet_seed ^ config_.session.host.seed_salt};
-    shared_ = std::make_unique<core::ReplayNamespace>(
-        loop_, store_, config_.session, config_.origin,
-        rng.fork("fault-plan").next(), rng.fork("shared-world-shells"), -1);
-  }
+  // The shared namespace belongs to no one session: its fault plan and
+  // shells fork from the fleet seed, so every session observes the same
+  // flap/crash/DNS schedule, and its trace events carry session -1.
+  const util::Rng rng{config_.fleet_seed ^ config_.session.host.seed_salt};
+  world_ = std::make_unique<core::ReplayNamespace>(
+      loop_, store_, config_.session, config_.origin,
+      rng.fork("fault-plan").next(), rng.fork("shared-world-shells"), -1);
 }
 
 SessionMux::~SessionMux() = default;
 
-void SessionMux::add_session(int global_index) {
+void SessionMux::add_session(int index) {
   MAHI_ASSERT_MSG(!ran_, "add_session after run()");
-  MAHI_ASSERT_MSG(global_index >= 0, "session index must be >= 0");
+  MAHI_ASSERT_MSG(index >= 0, "session index must be >= 0");
   for (const Slot& slot : slots_) {
-    MAHI_ASSERT_MSG(slot.global_index != global_index,
-                    "session " << global_index << " enrolled twice");
+    MAHI_ASSERT_MSG(slot.index != index,
+                    "session " << index << " enrolled twice");
   }
   slots_.emplace_back();
   Slot& slot = slots_.back();
-  slot.global_index = global_index;
-  slot.start_at = config_.stagger * global_index;
-  slot.session_seed = derive_session_seed(config_.fleet_seed, global_index);
+  slot.index = index;
+  slot.start_at = config_.stagger * index;
+  slot.session_seed = derive_session_seed(config_.fleet_seed, index);
 }
 
 void SessionMux::admit(Slot& slot) {
@@ -104,21 +105,14 @@ void SessionMux::admit(Slot& slot) {
 
   core::SessionConfig session = config_.session;
   session.seed = slot.session_seed;
-  // Trace attribution: this session's events carry its global fleet index
+  // Trace attribution: this session's events carry its fleet index
   // (shared infrastructure logs as -1).
-  session.trace_session = slot.global_index;
-  // The session's randomness forks from its own seed in both modes, so
-  // the user population is reproducible independent of arrival
-  // interleaving; an isolated namespace is built like ReplayWorld's.
+  session.trace_session = slot.index;
+  // The session's randomness forks from its own seed, so the user
+  // population is reproducible independent of arrival interleaving.
   const util::Rng rng = core::session_load_rng(session, 0);
-  if (!config_.shared_world) {
-    slot.world = std::make_unique<core::ReplayNamespace>(
-        loop_, store_, session, config_.origin, rng.fork("fault-plan").next(),
-        rng, session.trace_session);
-  }
-  core::ReplayNamespace& world = config_.shared_world ? *shared_ : *slot.world;
   slot.browser = std::make_unique<web::Browser>(
-      world.fabric(), world.dns(), core::session_browser_config(session),
+      world_->fabric(), world_->dns(), core::session_browser_config(session),
       rng.fork("browser"));
   slot.browser->load(url_, [this, &slot](web::PageLoadResult result) {
     complete(slot, std::move(result));
@@ -134,27 +128,22 @@ void SessionMux::complete(Slot& slot, web::PageLoadResult result) {
   // clock — exactly page_load_time after this session's admission, no
   // matter how many sibling sessions shared the loop.
   MAHI_ASSERT_MSG(slot.clock.now() == result.page_load_time,
-                  "session " << slot.global_index
-                             << " finished off its own clock");
+                  "session " << slot.index << " finished off its own clock");
   MAHI_ASSERT_MSG(result.started_at == slot.clock.origin(),
-                  "session " << slot.global_index
+                  "session " << slot.index
                              << " load started off its admission time");
   slot.outcome = session_outcome(result);
-  slot.outcome.session_index = slot.global_index;
+  slot.outcome.session_index = slot.index;
   slot.outcome.start_ms = to_ms(slot.clock.origin());
   slot.outcome.finish_ms = to_ms(loop_.now());
-  if (config_.shared_world) {
-    // Retire the browser once the loop is past its frames: destroying it
-    // inside its own completion callback would unwind into freed state.
-    // Its world (the shared one) stays; in isolated mode the whole world
-    // is kept until the loop drains — packets still in flight hold events
-    // that reference its elements.
-    web::Browser* browser = slot.browser.get();
-    loop_.schedule_in(0, [&slot, browser] {
-      MAHI_ASSERT(slot.browser.get() == browser);
-      slot.browser.reset();
-    });
-  }
+  // Retire the browser once the loop is past its frames: destroying it
+  // inside its own completion callback would unwind into freed state. The
+  // shared world stays until the mux is destroyed.
+  web::Browser* browser = slot.browser.get();
+  loop_.schedule_in(0, [&slot, browser] {
+    MAHI_ASSERT(slot.browser.get() == browser);
+    slot.browser.reset();
+  });
 }
 
 std::vector<SessionOutcome> SessionMux::run() {
@@ -164,8 +153,8 @@ std::vector<SessionOutcome> SessionMux::run() {
     loop_.schedule_at(slot.start_at, [this, &slot] { admit(slot); });
   }
   if (config_.session.deadline > 0) {
-    // Watchdog over the whole mux: a shared-world fleet is one
-    // indivisible simulation, so the deadline covers every session. An
+    // Watchdog over the whole mux: a fleet is one indivisible
+    // simulation, so the deadline covers every session. An
     // unfinished fleet becomes a typed failure listing how far it got.
     loop_.run_until(config_.session.deadline);
     std::size_t done = 0;
@@ -194,7 +183,7 @@ std::vector<SessionOutcome> SessionMux::run() {
   for (const Slot& slot : slots_) {
     if (!slot.done) {
       throw std::runtime_error{
-          "fleet session " + std::to_string(slot.global_index) +
+          "fleet session " + std::to_string(slot.index) +
           " never completed (event loop drained)"};
     }
     outcomes.push_back(slot.outcome);
@@ -203,8 +192,7 @@ std::vector<SessionOutcome> SessionMux::run() {
             [](const SessionOutcome& a, const SessionOutcome& b) {
               return a.session_index < b.session_index;
             });
-  // Worlds are torn down here, in enrollment order, with the loop idle —
-  // deterministic and safe (no event can reference them anymore).
+  // Release the finished slots with the loop idle.
   slots_.clear();
   return outcomes;
 }

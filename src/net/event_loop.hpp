@@ -70,12 +70,10 @@ class EventLoop {
   /// Inline capacity of the callback type. Packets in flight travel in
   /// PacketChannels, so the callers are timers and per-object application
   /// events. Timers, DNS timeouts and origin think time capture at most
-  /// 56 bytes (LP64 libstdc++); the largest caller, the browser's retry
-  /// event, captures a pointer and a parsed http::Url (144 bytes), and 168
-  /// keeps it inline with room for one more field. The browser's
-  /// response, deadline and request-send events (184-288 bytes) box: one
-  /// allocation per fetched object, not per packet. Larger callables
-  /// still work; they heap-allocate.
+  /// 56 bytes (LP64 libstdc++); the browser's per-object events hold
+  /// their fetch by pointer and fit too (its compute, deadline and
+  /// request-send events static_assert it). Larger callables still work;
+  /// they heap-allocate.
   static constexpr std::size_t kInlineActionBytes = 168;
   using Action = util::InlineCallback<kInlineActionBytes>;
 

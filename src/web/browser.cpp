@@ -1,6 +1,7 @@
 #include "web/browser.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "http/status.hpp"
 #include "util/assert.hpp"
@@ -33,7 +34,7 @@ http::Request get_request(const http::Url& url) {
 struct Browser::PoolEntry {
   std::unique_ptr<net::HttpClientConnection> connection;
   bool busy{false};
-  http::Url current;  // valid while busy (error attribution)
+  Fetch* current{nullptr};  // valid while busy (error attribution)
 };
 
 /// One origin's connection pool. HTTP/1.1: up to
@@ -42,7 +43,7 @@ struct Browser::PoolEntry {
 /// Multiplexed: a single mux connection carrying any number of streams.
 struct Browser::OriginPool {
   net::Address server;
-  std::deque<FetchTask> waiting;
+  std::deque<Fetch*> waiting;
 
   // shared_ptr so deferred request-issue events can hold weak references
   // that survive pool teardown (stall timeout mid-load).
@@ -50,11 +51,11 @@ struct Browser::OriginPool {
 
   // Multiplexed mode only.
   std::unique_ptr<net::mux::MuxClientConnection> mux;
-  /// URLs with a stream in flight on `mux` — the connection's error
-  /// callback fails exactly these (previously they dangled until the
-  /// stall timeout), and a deadline expiry removes its URL so the late
-  /// response cannot double-account.
-  std::map<std::string, http::Url> mux_inflight;
+  /// Fetches with a stream in flight on `mux`, keyed by their fetches_
+  /// key — the connection's error callback fails exactly these (in URL
+  /// order), and a deadline expiry removes its fetch so the late response
+  /// cannot double-account.
+  std::map<std::string_view, Fetch*> mux_inflight;
 };
 
 Browser::Browser(net::Fabric& fabric, net::Address dns_server,
@@ -133,7 +134,6 @@ void Browser::load(const std::string& url_text, LoadCallback on_done) {
   outstanding_objects_ = 0;
   in_flight_requests_ = 0;
   main_thread_busy_until_ = loop_.now();
-  seen_urls_.clear();
   pools_.clear();
   cancel_fetch_timers();
   fetches_.clear();
@@ -144,35 +144,39 @@ void Browser::load(const std::string& url_text, LoadCallback on_done) {
 }
 
 void Browser::schedule_fetch(const http::Url& url) {
-  if (!seen_urls_.insert(url.to_string()).second) {
+  const auto [it, fresh] = fetches_.try_emplace(url.to_string());
+  if (!fresh) {
     return;  // already fetched or in flight
   }
+  Fetch& fetch = *it;
+  fetch.second.url = url;
   ++outstanding_objects_;
   if (auto* object = trace_object(url)) {
     object->fetch_start = loop_.now();
     object->dns_start = loop_.now();
     object->kind = http::resource_kind_name(http::classify_content_type(
         http::content_type_for_path(url.path)));
-    trace_event(obs::EventKind::kFetchStart, 0, url.to_string());
+    trace_event(obs::EventKind::kFetchStart, 0, fetch.first);
   }
-  dns_.resolve(url.host, [this, url](std::optional<net::Ipv4> ip) {
-    on_resolved(url, ip);
+  dns_.resolve(url.host, [this, &fetch](std::optional<net::Ipv4> ip) {
+    on_resolved(fetch, ip);
   });
 }
 
-void Browser::on_resolved(const http::Url& url, std::optional<net::Ipv4> ip) {
+void Browser::on_resolved(Fetch& fetch, std::optional<net::Ipv4> ip) {
   if (!loading_) {
     return;  // load already aborted
   }
+  const http::Url& url = fetch.second.url;
   if (auto* object = trace_object(url)) {
     object->dns_done = loop_.now();
   }
   if (!ip) {
-    attempt_failed(url, "DNS failure for " + url.host, /*timed_out=*/false);
+    attempt_failed(fetch, "DNS failure for " + url.host, /*timed_out=*/false);
     return;
   }
   OriginPool& pool = pool_for(url, *ip);
-  pool.waiting.push_back(FetchTask{url});
+  pool.waiting.push_back(&fetch);
   pump(pool);
 }
 
@@ -203,6 +207,9 @@ net::TcpConnection::Config Browser::next_connection_config() const {
 
 template <typename Send>
 void Browser::issue_on_main_thread(Send send) {
+  // One request-send event per fetched object: it holds the fetch by
+  // pointer and builds the request when it fires, so it never boxes.
+  static_assert(net::EventLoop::Action::kFitsInline<Send>);
   if (config_.request_issue_cost > 0) {
     // Issuing a request costs main-thread time; a post-parse burst of
     // discoveries goes out staggered, not as one packet storm.
@@ -267,7 +274,7 @@ void Browser::pump(OriginPool& pool) {
               raw->busy = false;
               MAHI_ASSERT(in_flight_requests_ > 0);
               --in_flight_requests_;
-              attempt_failed(raw->current, reason, /*timed_out=*/false);
+              attempt_failed(*raw->current, reason, /*timed_out=*/false);
             }
             if (loading_) {
               pump_all();
@@ -278,9 +285,9 @@ void Browser::pump(OriginPool& pool) {
       ++result_.connections_opened;
       idle = std::move(entry);
     }
-    FetchTask task = std::move(pool.waiting.front());
+    Fetch& fetch = *pool.waiting.front();
     pool.waiting.pop_front();
-    issue(std::move(idle), std::move(task));
+    issue(std::move(idle), fetch);
   }
 }
 
@@ -309,16 +316,16 @@ void Browser::pump_mux(OriginPool& pool) {
           // connection. Fail each in-flight object through the resilience
           // layer; pumping is deferred — this stack frame may sit inside
           // the dying connection's own callbacks.
-          std::vector<http::Url> dead;
+          std::vector<Fetch*> dead;
           dead.reserve(pool.mux_inflight.size());
-          for (const auto& [key, url] : pool.mux_inflight) {
-            dead.push_back(url);
+          for (const auto& [key, fetch] : pool.mux_inflight) {
+            dead.push_back(fetch);
           }
           pool.mux_inflight.clear();
-          for (const auto& url : dead) {
+          for (Fetch* fetch : dead) {
             MAHI_ASSERT(in_flight_requests_ > 0);
             --in_flight_requests_;
-            attempt_failed(url, reason, /*timed_out=*/false);
+            attempt_failed(*fetch, reason, /*timed_out=*/false);
           }
           if (loading_ && (!dead.empty() || !pool.waiting.empty())) {
             loop_.schedule_in(0, [this] {
@@ -333,23 +340,21 @@ void Browser::pump_mux(OriginPool& pool) {
   }
   while (!pool.waiting.empty() &&
          in_flight_requests_ < config_.max_concurrent_requests) {
-    const http::Url url = std::move(pool.waiting.front().url);
+    Fetch& fetch = *pool.waiting.front();
     pool.waiting.pop_front();
     ++in_flight_requests_;
     // The issue cost applies as in HTTP/1.1; mux just removes the
     // connection bookkeeping.
-    issue_on_main_thread([this, &pool, url,
-                          request = get_request(url)]() mutable {
+    issue_on_main_thread([this, &pool, &fetch] {
       if (!loading_ || pool.mux == nullptr) {
         return;
       }
-      const std::string key = url.to_string();
-      pool.mux_inflight.emplace(key, url);
-      const std::uint64_t generation = fetches_[key].generation;
-      arm_deadline(url, [this, &pool, key] {
+      pool.mux_inflight.emplace(fetch.first, &fetch);
+      const std::uint64_t generation = fetch.second.generation;
+      arm_deadline(fetch, [this, &pool, &fetch] {
         // Undo the in-flight accounting; the erase also marks any late
         // response for this stream as stale.
-        if (pool.mux_inflight.erase(key) == 0) {
+        if (pool.mux_inflight.erase(fetch.first) == 0) {
           return false;
         }
         MAHI_ASSERT(in_flight_requests_ > 0);
@@ -357,44 +362,41 @@ void Browser::pump_mux(OriginPool& pool) {
         return true;
       });
       pool.mux->fetch(
-          std::move(request),
-          [this, &pool, url, key, generation](http::Response response) {
-            const auto it = fetches_.find(key);
-            if (it == fetches_.end() || it->second.generation != generation ||
-                pool.mux_inflight.erase(key) == 0) {
+          get_request(fetch.second.url),
+          [this, &pool, &fetch, generation](http::Response response) {
+            if (fetch.second.generation != generation ||
+                pool.mux_inflight.erase(fetch.first) == 0) {
               return;  // superseded by a deadline expiry; already accounted
             }
-            cancel_deadline(key);
+            cancel_deadline(fetch.second);
             MAHI_ASSERT(in_flight_requests_ > 0);
             --in_flight_requests_;
-            on_response(url, std::move(response));
+            on_response(fetch, std::move(response));
             if (loading_) {
               pump_all();
             }
           },
-          make_fetch_hooks(url));
+          make_fetch_hooks(fetch.second.url));
     });
   }
 }
 
-void Browser::issue(std::shared_ptr<PoolEntry> entry, FetchTask task) {
+void Browser::issue(std::shared_ptr<PoolEntry> entry, Fetch& fetch) {
   entry->busy = true;
-  entry->current = task.url;
-  const http::Url url = std::move(task.url);
+  entry->current = &fetch;
   ++in_flight_requests_;
-  issue_on_main_thread([this, weak = std::weak_ptr<PoolEntry>{entry}, url,
-                        request = get_request(url)]() mutable {
+  issue_on_main_thread([this, weak = std::weak_ptr<PoolEntry>{entry}, &fetch] {
     const auto e = weak.lock();
     if (!e || !loading_) {
       return;  // load torn down before the issue event fired
     }
     PoolEntry* raw = e.get();
-    arm_deadline(url, [this, weak, key = url.to_string()] {
+    arm_deadline(fetch, [this, weak, &fetch] {
       // Deadline expired mid-request: kill the connection silently (its
       // error callback must not fire — the failure is already attributed)
       // and undo the in-flight accounting.
       const auto entry = weak.lock();
-      if (!entry || !entry->busy || entry->current.to_string() != key) {
+      if (!entry || !entry->busy || entry->current != &fetch) {
         return false;
       }
       entry->busy = false;
@@ -404,25 +406,26 @@ void Browser::issue(std::shared_ptr<PoolEntry> entry, FetchTask task) {
       return true;
     });
     e->connection->fetch(
-        std::move(request),
-        [this, raw, url](http::Response response) {
+        get_request(fetch.second.url),
+        [this, raw, &fetch](http::Response response) {
           raw->busy = false;
           MAHI_ASSERT(in_flight_requests_ > 0);
           --in_flight_requests_;
-          cancel_deadline(url.to_string());
-          on_response(url, std::move(response));
+          cancel_deadline(fetch.second);
+          on_response(fetch, std::move(response));
           if (loading_) {
             pump_all();
           }
         },
-        make_fetch_hooks(url));
+        make_fetch_hooks(fetch.second.url));
   });
 }
 
-void Browser::on_response(const http::Url& url, http::Response response) {
+void Browser::on_response(Fetch& fetch, http::Response response) {
   if (!loading_) {
     return;
   }
+  const http::Url& url = fetch.second.url;
   result_.bytes_downloaded += response.body.size() + kHeaderOverheadBytes;
   if (auto* object = trace_object(url)) {
     object->complete = loop_.now();
@@ -474,10 +477,12 @@ void Browser::on_response(const http::Url& url, http::Response response) {
   } else {
     done = loop_.now() + cost;
   }
-  loop_.schedule_at(done, [this, url, kind,
-                           body = std::move(response.body)]() mutable {
-    on_object_computed(url, kind, std::move(body));
-  });
+  auto computed = [this, &fetch, kind,
+                   body = std::move(response.body)]() mutable {
+    on_object_computed(fetch.second.url, kind, std::move(body));
+  };
+  static_assert(net::EventLoop::Action::kFitsInline<decltype(computed)>);
+  loop_.schedule_at(done, std::move(computed));
 }
 
 void Browser::on_object_computed(const http::Url& url, http::ResourceKind kind,
@@ -586,14 +591,15 @@ void Browser::finish() {
   done(std::move(result_));
 }
 
-void Browser::attempt_failed(const http::Url& url, const std::string& reason,
+void Browser::attempt_failed(Fetch& fetch, const std::string& reason,
                              bool timed_out) {
   if (!loading_) {
     return;
   }
-  const std::string key = url.to_string();
-  FetchState& state = fetches_[key];
-  cancel_deadline(key);
+  const std::string& key = fetch.first;
+  FetchState& state = fetch.second;
+  const http::Url& url = state.url;
+  cancel_deadline(state);
   ++state.generation;  // a late response for the old attempt is now stale
   ++state.attempts;
   if (timed_out) {
@@ -628,18 +634,19 @@ void Browser::attempt_failed(const http::Url& url, const std::string& reason,
       backoff = std::max<Microseconds>(
           1, static_cast<Microseconds>(static_cast<double>(backoff) * scale));
     }
-    state.retry_event = loop_.schedule_in(backoff, [this, url] {
-      fetches_[url.to_string()].retry_event = 0;
+    state.retry_event = loop_.schedule_in(backoff, [this, &fetch] {
+      fetch.second.retry_event = 0;
       if (!loading_) {
         return;
       }
+      const http::Url& url = fetch.second.url;
       if (auto* object = trace_object(url)) {
         object->dns_start = loop_.now();
       }
       // Re-resolve and re-enqueue; the DNS cache makes repeat resolution
       // synchronous, while a DNS-failure retry genuinely asks again.
-      dns_.resolve(url.host, [this, url](std::optional<net::Ipv4> ip) {
-        on_resolved(url, ip);
+      dns_.resolve(url.host, [this, &fetch](std::optional<net::Ipv4> ip) {
+        on_resolved(fetch, ip);
       });
     });
     return;  // the object stays outstanding
@@ -651,37 +658,36 @@ void Browser::attempt_failed(const http::Url& url, const std::string& reason,
   object_finished(false, reason);
 }
 
-void Browser::arm_deadline(const http::Url& url,
-                           std::function<bool()> on_expire) {
+template <typename OnExpire>
+void Browser::arm_deadline(Fetch& fetch, OnExpire on_expire) {
   const auto& policy = config_.resilience;
   if (!policy.enabled() || policy.request_deadline <= 0) {
     return;
   }
-  const std::string key = url.to_string();
-  FetchState& state = fetches_[key];
+  FetchState& state = fetch.second;
   if (state.deadline_event != 0) {
     loop_.cancel(state.deadline_event);
   }
-  state.deadline_event = loop_.schedule_in(
-      policy.request_deadline,
-      [this, url, key, on_expire = std::move(on_expire)] {
-        fetches_[key].deadline_event = 0;
-        if (!loading_ || !on_expire()) {
-          return;
-        }
-        attempt_failed(url, "request deadline exceeded for " + key,
-                       /*timed_out=*/true);
-        if (loading_) {
-          pump_all();
-        }
-      });
+  auto expire = [this, &fetch, on_expire = std::move(on_expire)] {
+    fetch.second.deadline_event = 0;
+    if (!loading_ || !on_expire()) {
+      return;
+    }
+    attempt_failed(fetch, "request deadline exceeded for " + fetch.first,
+                   /*timed_out=*/true);
+    if (loading_) {
+      pump_all();
+    }
+  };
+  static_assert(net::EventLoop::Action::kFitsInline<decltype(expire)>);
+  state.deadline_event =
+      loop_.schedule_in(policy.request_deadline, std::move(expire));
 }
 
-void Browser::cancel_deadline(const std::string& key) {
-  const auto it = fetches_.find(key);
-  if (it != fetches_.end() && it->second.deadline_event != 0) {
-    loop_.cancel(it->second.deadline_event);
-    it->second.deadline_event = 0;
+void Browser::cancel_deadline(FetchState& state) {
+  if (state.deadline_event != 0) {
+    loop_.cancel(state.deadline_event);
+    state.deadline_event = 0;
   }
 }
 

@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -150,7 +149,10 @@ class Browser {
   Browser(const Browser&) = delete;
   Browser& operator=(const Browser&) = delete;
 
-  /// Begin loading `url`. One load at a time per Browser.
+  /// Begin loading `url`. One load at a time per Browser; a reused
+  /// Browser starts its next load only once the loop has run past the
+  /// previous load's events (they refer to its per-fetch records, which
+  /// this call resets).
   void load(const std::string& url, LoadCallback on_done);
 
   [[nodiscard]] bool loading() const { return loading_; }
@@ -158,17 +160,18 @@ class Browser {
  private:
   struct OriginPool;
   struct PoolEntry;
-  struct FetchTask {
-    http::Url url;
-  };
 
   /// Transport config for the next connection to open: tcp, with the
   /// fleet's per-connection-index controller applied when one is set.
   [[nodiscard]] net::TcpConnection::Config next_connection_config() const;
 
-  /// Per-URL retry/deadline bookkeeping (resilience layer). Entries are
-  /// created on first fetch and live until the load ends.
+  /// Per-URL fetch record: the parsed URL plus the resilience layer's
+  /// retry/deadline bookkeeping. Created when the URL is first scheduled
+  /// and kept until the next load() clears fetches_; map nodes never move,
+  /// so events and pool queues hold a Fetch by pointer instead of copying
+  /// its URL into each callback.
   struct FetchState {
+    http::Url url;
     int attempts{0};  ///< attempts that have *failed* so far
     /// Bumped when a deadline expires: a late mux response whose captured
     /// generation no longer matches is stale and must not double-account.
@@ -176,6 +179,9 @@ class Browser {
     net::EventLoop::EventId deadline_event{0};
     net::EventLoop::EventId retry_event{0};
   };
+  /// A fetches_ entry: `first` is the URL's string form (the map key),
+  /// `second` its state.
+  using Fetch = std::map<std::string, FetchState>::value_type;
 
   // --- observability. The tracer rides in config_.tcp (so TCP-layer
   // events share it); these helpers add the browser's per-object
@@ -190,18 +196,18 @@ class Browser {
   [[nodiscard]] net::FetchHooks make_fetch_hooks(const http::Url& url);
 
   void schedule_fetch(const http::Url& url);
-  void on_resolved(const http::Url& url, std::optional<net::Ipv4> ip);
+  void on_resolved(Fetch& fetch, std::optional<net::Ipv4> ip);
   OriginPool& pool_for(const http::Url& url, net::Ipv4 ip);
   void pump(OriginPool& pool);
   void pump_mux(OriginPool& pool);
   void pump_all();
-  /// Issues `task` on the HTTP/1.1 pool connection `entry`.
-  void issue(std::shared_ptr<PoolEntry> entry, FetchTask task);
+  /// Issues `fetch` on the HTTP/1.1 pool connection `entry`.
+  void issue(std::shared_ptr<PoolEntry> entry, Fetch& fetch);
   /// Runs `send` once the main thread has paid the request issue cost
   /// (at once when that cost is zero).
   template <typename Send>
   void issue_on_main_thread(Send send);
-  void on_response(const http::Url& url, http::Response response);
+  void on_response(Fetch& fetch, http::Response response);
   void on_object_computed(const http::Url& url, http::ResourceKind kind,
                           std::string body);
   void object_finished(bool ok, const std::string& error = {});
@@ -213,14 +219,16 @@ class Browser {
   /// One attempt at `url` failed (connection error, DNS failure, deadline).
   /// Schedules a seeded-backoff retry while attempts remain; otherwise
   /// fails the object for good.
-  void attempt_failed(const http::Url& url, const std::string& reason,
+  void attempt_failed(Fetch& fetch, const std::string& reason,
                       bool timed_out);
-  /// Arm the per-request deadline for `url`; on expiry `on_expire` undoes
-  /// the protocol-specific in-flight accounting and returns whether the
-  /// request was in fact still pending (false = raced with completion, do
-  /// nothing). No-op unless the resilience policy sets a deadline.
-  void arm_deadline(const http::Url& url, std::function<bool()> on_expire);
-  void cancel_deadline(const std::string& key);
+  /// Arm the per-request deadline for `fetch`; on expiry `on_expire` (a
+  /// `bool()` callable) undoes the protocol-specific in-flight accounting
+  /// and returns whether the request was in fact still pending (false =
+  /// raced with completion, do nothing). No-op unless the resilience
+  /// policy sets a deadline.
+  template <typename OnExpire>
+  void arm_deadline(Fetch& fetch, OnExpire on_expire);
+  void cancel_deadline(FetchState& state);
   void cancel_fetch_timers();
   void fill_degraded_plt();
 
@@ -241,8 +249,8 @@ class Browser {
   std::size_t outstanding_objects_{0};
   std::size_t in_flight_requests_{0};
   Microseconds main_thread_busy_until_{0};
-  std::set<std::string> seen_urls_;
   std::map<std::string, std::unique_ptr<OriginPool>> pools_;
+  /// One entry per URL scheduled this load (doubles as the seen set).
   std::map<std::string, FetchState> fetches_;
   Microseconds last_success_time_{0};
   PageLoadResult result_;
