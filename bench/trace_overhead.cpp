@@ -20,6 +20,12 @@
 // Each HTTP body is copied once per side, so a copy or allocation that
 // creeps back into the replay path moves these rows past the gate.
 //
+// Bulk-probe heap work: the same counting operator new around one fixed
+// net::run_multi_bulk_flow (six mixed-controller flows, 48 Mbit/s,
+// droptail 256, 0.05% loss, 5 s) reports its allocations and kB, plus
+// the bottleneck arrivals that show the simulation itself did not move.
+// A per-packet log or a per-top-up payload copy moves these rows.
+//
 // Event-loop work: the same untraced loads again, on loops this driver
 // owns, report the loop's counters per load (events scheduled,
 // dispatched, cancelled, re-armed in place, re-keyed, tombstones popped).
@@ -44,6 +50,7 @@
 #include "core/sessions.hpp"
 #include "experiment/runner.hpp"
 #include "corpus/site_generator.hpp"
+#include "net/bulk_probe.hpp"
 #include "net/event_loop.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -106,6 +113,18 @@ core::SessionConfig session_config() {
   return config;
 }
 
+/// The bulk-transport workload's 48 Mbit/s droptail cell, shortened.
+net::MultiBulkFlowSpec bulk_probe_spec() {
+  net::MultiBulkFlowSpec spec;
+  spec.controllers = {"reno", "cubic", "bbr", "vegas", "cubic", "reno"};
+  spec.duration = 5'000'000;
+  spec.link_mbps = 48;
+  spec.queue.discipline = "droptail";
+  spec.queue.max_packets = 256;
+  spec.loss = 0.0005;
+  return spec;
+}
+
 }  // namespace
 
 int main() {
@@ -152,6 +171,15 @@ int main() {
     loop_work.tombstones += c.tombstones;
     loop_work.heap_pushes += c.heap_pushes;
   }
+
+  const std::uint64_t replay_allocs = g_heap_allocs.exchange(0);
+  const std::uint64_t replay_bytes = g_heap_bytes.exchange(0);
+  const net::MultiBulkFlowSpec bulk_spec = bulk_probe_spec();
+  g_count_heap = true;
+  const net::MultiBulkFlowReport bulk = net::run_multi_bulk_flow(bulk_spec);
+  g_count_heap = false;
+  const std::uint64_t bulk_allocs = g_heap_allocs.exchange(0);
+  const std::uint64_t bulk_bytes = g_heap_bytes.exchange(0);
 
   std::vector<double> traced_plt_us;
   std::vector<obs::LoadTrace> traces;
@@ -222,9 +250,10 @@ int main() {
   const double per_load_ns_untraced = untraced_s * 1e9 / loads;
   const double per_load_ns_traced = traced_s * 1e9 / loads;
   const double heap_allocs_per_load =
-      static_cast<double>(g_heap_allocs.load()) / loads;
+      static_cast<double>(replay_allocs) / loads;
   const double heap_kbytes_per_load =
-      static_cast<double>(g_heap_bytes.load()) / 1024.0 / loads;
+      static_cast<double>(replay_bytes) / 1024.0 / loads;
+  const double bulk_kbytes = static_cast<double>(bulk_bytes) / 1024.0;
   std::puts(
       "-------------------------------------------------------------------");
   std::printf("trace overhead: %d load(s), %zu events, %zu objects\n", loads,
@@ -241,6 +270,10 @@ int main() {
               metrics_json.size());
   std::printf("  heap      %.1f allocs/load, %.1f kB/load (untraced)\n",
               heap_allocs_per_load, heap_kbytes_per_load);
+  std::printf("  bulk      %llu allocs, %.1f kB, %llu bottleneck arrivals "
+              "(one 5 s six-flow probe)\n",
+              static_cast<unsigned long long>(bulk_allocs), bulk_kbytes,
+              static_cast<unsigned long long>(bulk.bottleneck.arrivals));
   const auto per_load = [](std::uint64_t count) {
     return static_cast<double>(count) / loads;
   };
@@ -284,6 +317,11 @@ int main() {
               per_load(loop_work.tombstones), 0, 0});
   report.add({"replay_loop_heap_pushes_per_load",
               per_load(loop_work.heap_pushes), 0, 0});
+  report.add({"bulk_probe_heap_allocs", static_cast<double>(bulk_allocs), 0,
+              0});
+  report.add({"bulk_probe_heap_kbytes", bulk_kbytes, 0, 0});
+  report.add({"bulk_probe_bottleneck_arrivals",
+              static_cast<double>(bulk.bottleneck.arrivals), 0, 0});
   const char* out = std::getenv("MAHI_OBS_JSON");
   report.write(out != nullptr ? out : "BENCH_obs.json");
   return 0;

@@ -24,7 +24,7 @@ BulkFlowReport run_bulk_flow(const BulkFlowSpec& spec) {
       loop, trace::constant_rate(spec.link_mbps * 1e6, spec.trace_duration),
       trace::constant_rate(spec.link_mbps * 1e6, spec.trace_duration));
   TraceLink& link_ref = *link;
-  link_ref.enable_logging();
+  link_ref.enable_summary(Direction::kUplink);  // the client sends
   fabric.chain().push_back(std::move(link));
   if (spec.loss > 0) {
     fabric.chain().push_back(std::make_unique<LossBox>(
@@ -64,14 +64,15 @@ BulkFlowReport run_bulk_flow(const BulkFlowSpec& spec) {
   report.final_cwnd_bytes = conn.cwnd_bytes();
   report.final_pacing_rate = conn.congestion().pacing_rate();
   report.close_reason = conn.close_reason();
-  report.uplink = summarize_link_log(link_ref.log(Direction::kUplink));
+  report.uplink = link_ref.summary(Direction::kUplink);
   return report;
 }
 
 MultiBulkFlowReport run_multi_bulk_flow(const MultiBulkFlowSpec& spec) {
   // Senders keep at most kHighWater unacked bytes buffered, topping up in
   // kChunk pieces — enough to keep any bottleneck here saturated without
-  // queueing unbounded payload in memory.
+  // queueing unbounded payload in memory. Every top-up aliases the one
+  // shared chunk (a reference-count bump, see the Payload contract).
   constexpr std::size_t kChunk = 128 * 1024;
   constexpr std::size_t kHighWater = 512 * 1024;
   const std::size_t n = spec.controllers.size();
@@ -94,13 +95,14 @@ MultiBulkFlowReport run_multi_bulk_flow(const MultiBulkFlowSpec& spec) {
   auto link =
       std::make_unique<TraceLink>(loop, up, down, uplink_queue, spec.queue);
   TraceLink& link_ref = *link;
-  link_ref.enable_logging();
+  link_ref.enable_summary(Direction::kDownlink);  // the contested direction
   fabric.chain().push_back(std::move(link));
   if (spec.loss > 0) {
     fabric.chain().push_back(std::make_unique<LossBox>(
         util::Rng{spec.loss_seed}, spec.loss, spec.loss));
   }
 
+  const Payload chunk{std::make_shared<const std::string>(kChunk, 'x')};
   bool measuring = true;  // senders stop topping up once the window closes
   std::vector<std::shared_ptr<TcpConnection>> senders(n);
   std::vector<std::unique_ptr<TcpListener>> listeners;
@@ -117,14 +119,14 @@ MultiBulkFlowReport run_multi_bulk_flow(const MultiBulkFlowSpec& spec) {
         [&, i](const std::shared_ptr<TcpConnection>& conn) {
           senders[i] = conn;
           // Keep the pipe full: a top-up on every ack while measuring.
-          const auto top_up = [&measuring, &loop, &spec,
+          const auto top_up = [&measuring, &loop, &spec, &chunk,
                                raw = conn.get()] {
             if (!measuring || loop.now() >= spec.duration) {
               return;
             }
             while (raw->established() &&
                    raw->unacked_send_bytes() < kHighWater) {
-              raw->send(std::string(kChunk, 'x'));
+              raw->send(chunk);
             }
           };
           TcpConnection::Callbacks cb;
@@ -204,7 +206,7 @@ MultiBulkFlowReport run_multi_bulk_flow(const MultiBulkFlowSpec& spec) {
                                  : 0.0;
   }
   report.jain_index = util::jain_fairness_index(throughputs);
-  report.bottleneck = summarize_link_log(link_ref.log(Direction::kDownlink));
+  report.bottleneck = link_ref.summary(Direction::kDownlink);
   return report;
 }
 

@@ -58,8 +58,16 @@ void Fabric::send(Side from, Packet&& packet) {
     client_inject_.push(loop_.now(), std::move(packet));
     return;
   }
-  const Microseconds delay = server_delay(packet.src.ip);
-  origin_lanes(delay).inject.push(loop_.now() + delay, std::move(packet));
+  if (const auto it = server_routes_.find(packet.src.ip);
+      it != server_routes_.end()) {
+    const OriginRoute route = it->second;
+    route.lanes->inject.push(loop_.now() + route.delay, std::move(packet));
+    return;
+  }
+  if (undelayed_lanes_ == nullptr) {
+    undelayed_lanes_ = &origin_lanes(0);
+  }
+  undelayed_lanes_->inject.push(loop_.now(), std::move(packet));
 }
 
 Fabric::OriginLanes& Fabric::origin_lanes(Microseconds delay) {
@@ -76,21 +84,23 @@ void Fabric::redeliver(Side side, Packet&& packet) {
 
 void Fabric::set_server_delay(Ipv4 ip, Microseconds one_way) {
   MAHI_ASSERT(one_way >= 0);
-  server_delays_[ip] = one_way;
+  server_routes_[ip] = OriginRoute{one_way, &origin_lanes(one_way)};
 }
 
 Microseconds Fabric::server_delay(Ipv4 ip) const {
-  const auto it = server_delays_.find(ip);
-  return it == server_delays_.end() ? 0 : it->second;
+  const auto it = server_routes_.find(ip);
+  return it == server_routes_.end() ? 0 : it->second.delay;
 }
 
 void Fabric::deliver(Side side, Packet&& packet) {
   // Packets arriving at a delayed server pay that origin's one-way delay.
-  const Microseconds delay =
-      side == Side::kServer ? server_delay(packet.dst.ip) : 0;
-  if (delay > 0) {
-    origin_lanes(delay).deliver.push(loop_.now() + delay, std::move(packet));
-    return;
+  if (side == Side::kServer) {
+    if (const auto it = server_routes_.find(packet.dst.ip);
+        it != server_routes_.end() && it->second.delay > 0) {
+      const OriginRoute route = it->second;
+      route.lanes->deliver.push(loop_.now() + route.delay, std::move(packet));
+      return;
+    }
   }
   dispatch(side, std::move(packet), /*allow_default=*/true);
 }

@@ -90,6 +90,13 @@ class Fabric {
     PacketChannel deliver;  // chain uplink exits, to the server endpoint
   };
 
+  /// An origin's one-way delay beside its lanes (lanes_[delay]), so a
+  /// server-side packet costs one lookup.
+  struct OriginRoute {
+    Microseconds delay{0};
+    OriginLanes* lanes{nullptr};
+  };
+
   void deliver(Side side, Packet&& packet);
   void dispatch(Side side, Packet&& packet, bool allow_default);
   OriginLanes& origin_lanes(Microseconds delay);
@@ -98,9 +105,10 @@ class Fabric {
   Chain chain_;
   std::unordered_map<Address, Handler> endpoints_[2];
   Handler server_default_;
-  std::unordered_map<Ipv4, Microseconds> server_delays_;
+  std::unordered_map<Ipv4, OriginRoute> server_routes_;  // set delays only
   PacketChannel client_inject_;  // client-side sends, into the chain uplink
   std::unordered_map<Microseconds, OriginLanes> lanes_;  // by one-way delay
+  OriginLanes* undelayed_lanes_{nullptr};  // lanes_[0], once first used
   Ipv4 client_ip_{Ipv4{100, 64, 0, 2}};
   std::uint16_t next_client_port_{49152};
   AddressAllocator server_ips_{Ipv4{10, 0, 0, 1}};

@@ -143,14 +143,13 @@ void TraceLink::process(Packet&& packet, Direction direction) {
   }
 }
 
-void TraceLink::enable_logging() {
-  for (auto& log : logs_) {
-    if (log == nullptr) {
-      log = std::make_unique<LinkLog>();
-    }
+void TraceLink::enable_summary(Direction direction) {
+  const bool up = direction == Direction::kUplink;
+  auto& stats = stats_[up ? 0 : 1];
+  if (stats == nullptr) {
+    stats = std::make_unique<LinkStats>();
   }
-  uplink_->set_log(logs_[0].get());
-  downlink_->set_log(logs_[1].get());
+  (up ? uplink_ : downlink_)->set_log(stats.get());
 }
 
 void TraceLink::set_tracer(obs::Tracer* tracer, std::int32_t session,
@@ -159,10 +158,10 @@ void TraceLink::set_tracer(obs::Tracer* tracer, std::int32_t session,
   downlink_->set_tracer(tracer, session, name + "/down");
 }
 
-const LinkLog& TraceLink::log(Direction direction) const {
-  const auto& log = logs_[direction == Direction::kUplink ? 0 : 1];
-  MAHI_ASSERT_MSG(log != nullptr, "TraceLink logging not enabled");
-  return *log;
+LinkLogSummary TraceLink::summary(Direction direction) const {
+  const auto& stats = stats_[direction == Direction::kUplink ? 0 : 1];
+  MAHI_ASSERT_MSG(stats != nullptr, "TraceLink summary not enabled");
+  return stats->summary();
 }
 
 }  // namespace mahimahi::net

@@ -29,8 +29,8 @@ class LinkQueue {
   /// Packet arrives at the link.
   void accept(Packet&& packet);
 
-  /// Record arrivals/departures/drops into `log` (mm-link --*-log).
-  void set_log(LinkLog* log) { log_ = log; }
+  /// Fold arrivals/departures/drops into `log` (mm-link --*-log).
+  void set_log(LinkStats* log) { log_ = log; }
 
   /// Mirror enqueue/dequeue/drop events (with instantaneous queue depth)
   /// into an obs tracer. `label` names this queue in the trace, e.g.
@@ -55,7 +55,7 @@ class LinkQueue {
   trace::PacketTrace trace_;
   std::unique_ptr<PacketQueue> queue_;
   Deliver deliver_;
-  LinkLog* log_{nullptr};
+  LinkStats* log_{nullptr};
   obs::Tracer* tracer_{nullptr};
   std::int32_t trace_session_{0};
   std::string trace_label_;
@@ -78,9 +78,11 @@ class TraceLink final : public NetworkElement {
 
   void process(Packet&& packet, Direction direction) override;
 
-  /// Turn on per-direction logging (kept by the link; see logs()).
-  void enable_logging();
-  [[nodiscard]] const LinkLog& log(Direction direction) const;
+  /// Summarize `direction`'s queue (mm-link --uplink-log/--downlink-log,
+  /// folded as packets pass; see summary()). Idempotent.
+  void enable_summary(Direction direction);
+  /// The summary so far; the direction must have been enabled.
+  [[nodiscard]] LinkLogSummary summary(Direction direction) const;
 
   /// Trace both directions into `tracer`; queues are labeled
   /// "<name>/up" and "<name>/down".
@@ -93,7 +95,7 @@ class TraceLink final : public NetworkElement {
  private:
   std::unique_ptr<LinkQueue> uplink_;
   std::unique_ptr<LinkQueue> downlink_;
-  std::unique_ptr<LinkLog> logs_[2];
+  std::unique_ptr<LinkStats> stats_[2];  // [uplink, downlink], when enabled
 };
 
 }  // namespace mahimahi::net

@@ -1,10 +1,7 @@
 #include "net/link_log.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/strings.hpp"
 
@@ -22,35 +19,105 @@ std::string_view to_string(DropReason reason) {
   return "unknown";
 }
 
-void LinkLog::add(Microseconds at, LinkLogEvent::Kind kind, std::uint32_t bytes,
-                  std::uint64_t id, DropReason reason) {
-  events_.push_back(LinkLogEvent{at, kind, bytes, id, reason});
-}
-
-void LinkLog::arrival(Microseconds at, std::uint32_t bytes, std::uint64_t id) {
-  add(at, LinkLogEvent::Kind::kArrival, bytes, id);
-}
-
-void LinkLog::departure(Microseconds at, std::uint32_t bytes, std::uint64_t id) {
-  add(at, LinkLogEvent::Kind::kDeparture, bytes, id);
-}
-
-void LinkLog::drop(Microseconds at, std::uint32_t bytes, std::uint64_t id,
-                   DropReason reason) {
-  add(at, LinkLogEvent::Kind::kDrop, bytes, id, reason);
-}
-
-std::string LinkLog::to_text() const {
-  std::ostringstream out;
-  for (const auto& event : events_) {
-    out << (event.at / 1000) << ' ' << static_cast<char>(event.kind) << ' '
-        << event.bytes << '\n';
+LinkStats::LinkStats(Microseconds bin_width) {
+  if (bin_width <= 0) {
+    throw std::invalid_argument{"link log bin width must be positive, got " +
+                                std::to_string(bin_width) + " us"};
   }
-  return out.str();
+  summary_.bin_width = bin_width;
 }
 
-LinkLog LinkLog::parse(std::string_view text) {
-  LinkLog log;
+void LinkStats::arrival(Microseconds at, std::uint32_t bytes, std::uint64_t id) {
+  last_time_ = std::max(last_time_, at);
+  ++summary_.arrivals;
+  ++depth_packets_;
+  depth_bytes_ += bytes;
+  summary_.queue_high_water_packets =
+      std::max(summary_.queue_high_water_packets, depth_packets_);
+  summary_.queue_high_water_bytes =
+      std::max(summary_.queue_high_water_bytes, depth_bytes_);
+  if (id != 0) {
+    queued_by_id_[id] = at;
+  } else {
+    queued_fifo_.push_back(at);
+  }
+}
+
+void LinkStats::departure(Microseconds at, std::uint32_t bytes,
+                          std::uint64_t id) {
+  last_time_ = std::max(last_time_, at);
+  ++summary_.departures;
+  summary_.bytes_delivered += bytes;
+  if (depth_packets_ > 0) {
+    --depth_packets_;
+  }
+  depth_bytes_ -= std::min<std::uint64_t>(depth_bytes_, bytes);
+  Microseconds arrived = -1;
+  if (id != 0) {
+    if (const auto it = queued_by_id_.find(id); it != queued_by_id_.end()) {
+      arrived = it->second;
+      queued_by_id_.erase(it);
+    }
+  } else if (!queued_fifo_.empty()) {
+    arrived = queued_fifo_.front();
+    queued_fifo_.pop_front();
+  }
+  if (arrived >= 0) {
+    delays_ms_.add(to_ms(at - arrived));
+  }
+  const auto bin = static_cast<std::size_t>(at / summary_.bin_width);
+  if (bin >= departed_bits_.size()) {
+    departed_bits_.resize(bin + 1, 0.0);
+  }
+  departed_bits_[bin] += static_cast<double>(bytes) * 8.0;
+}
+
+void LinkStats::drop(Microseconds at, std::uint32_t bytes, std::uint64_t,
+                     DropReason reason) {
+  last_time_ = std::max(last_time_, at);
+  ++summary_.drops;
+  switch (reason) {
+    case DropReason::kOverflow:
+      ++summary_.drops_overflow;
+      break;
+    case DropReason::kAqm:
+      ++summary_.drops_aqm;
+      break;
+    case DropReason::kUnknown:
+      ++summary_.drops_unknown;
+      break;
+  }
+  if (depth_packets_ > 0) {
+    --depth_packets_;
+  }
+  depth_bytes_ -= std::min<std::uint64_t>(depth_bytes_, bytes);
+}
+
+LinkLogSummary LinkStats::summary() const {
+  LinkLogSummary summary = summary_;
+  if (!delays_ms_.empty()) {
+    summary.delay_p50_ms = delays_ms_.median();
+    summary.delay_p95_ms = delays_ms_.percentile(95);
+    summary.delay_max_ms = delays_ms_.max();
+  }
+  if (last_time_ > 0) {
+    summary.average_throughput_bps =
+        static_cast<double>(summary.bytes_delivered) * 8.0 /
+        (static_cast<double>(last_time_) / 1e6);
+    // Bins span the whole log, the idle tail after the last departure
+    // included.
+    summary.throughput_bins_bps = departed_bits_;
+    summary.throughput_bins_bps.resize(
+        static_cast<std::size_t>(last_time_ / summary.bin_width) + 1, 0.0);
+    for (double& bin : summary.throughput_bins_bps) {
+      bin /= static_cast<double>(summary.bin_width) / 1e6;
+    }
+  }
+  return summary;
+}
+
+LinkStats LinkStats::parse(std::string_view text, Microseconds bin_width) {
+  LinkStats stats{bin_width};
   for (const auto raw_line : util::split(text, '\n')) {
     const auto line = util::trim(raw_line);
     if (line.empty() || line.front() == '#') {
@@ -66,121 +133,18 @@ LinkLog LinkLog::parse(std::string_view text) {
         fields[1].size() != 1) {
       throw std::invalid_argument{"bad link log line: " + std::string{line}};
     }
-    const char kind_char = fields[1][0];
-    LinkLogEvent::Kind kind;
-    switch (kind_char) {
-      case '+': kind = LinkLogEvent::Kind::kArrival; break;
-      case '-': kind = LinkLogEvent::Kind::kDeparture; break;
-      case 'd': kind = LinkLogEvent::Kind::kDrop; break;
+    const Microseconds at = static_cast<Microseconds>(ms) * 1000;
+    const auto size = static_cast<std::uint32_t>(bytes);
+    switch (fields[1][0]) {
+      case '+': stats.arrival(at, size, 0); break;
+      case '-': stats.departure(at, size, 0); break;
+      case 'd': stats.drop(at, size, 0); break;
       default:
         throw std::invalid_argument{"bad link log event kind: " +
                                     std::string{line}};
     }
-    log.add(static_cast<Microseconds>(ms) * 1000, kind,
-            static_cast<std::uint32_t>(bytes), 0);
   }
-  return log;
-}
-
-LinkLogSummary summarize_link_log(const LinkLog& log, Microseconds bin_width) {
-  LinkLogSummary summary;
-  summary.bin_width = bin_width;
-  if (log.events().empty()) {
-    return summary;
-  }
-  // Match departures to arrivals: by packet id when available, else FIFO.
-  std::unordered_map<std::uint64_t, Microseconds> by_id;
-  std::deque<Microseconds> fifo;
-  util::Samples delays_ms;
-  Microseconds last_time = 0;
-  // Instantaneous queue depth, replayed from the event stream: +1 at
-  // arrival, -1 at departure or drop.
-  std::uint64_t depth_packets = 0;
-  std::uint64_t depth_bytes = 0;
-
-  for (const auto& event : log.events()) {
-    last_time = std::max(last_time, event.at);
-    switch (event.kind) {
-      case LinkLogEvent::Kind::kArrival:
-        ++summary.arrivals;
-        ++depth_packets;
-        depth_bytes += event.bytes;
-        summary.queue_high_water_packets =
-            std::max(summary.queue_high_water_packets, depth_packets);
-        summary.queue_high_water_bytes =
-            std::max(summary.queue_high_water_bytes, depth_bytes);
-        if (event.packet_id != 0) {
-          by_id[event.packet_id] = event.at;
-        } else {
-          fifo.push_back(event.at);
-        }
-        break;
-      case LinkLogEvent::Kind::kDeparture: {
-        ++summary.departures;
-        summary.bytes_delivered += event.bytes;
-        if (depth_packets > 0) {
-          --depth_packets;
-        }
-        depth_bytes -= std::min<std::uint64_t>(depth_bytes, event.bytes);
-        Microseconds arrived = -1;
-        if (event.packet_id != 0) {
-          if (const auto it = by_id.find(event.packet_id); it != by_id.end()) {
-            arrived = it->second;
-            by_id.erase(it);
-          }
-        } else if (!fifo.empty()) {
-          arrived = fifo.front();
-          fifo.pop_front();
-        }
-        if (arrived >= 0) {
-          delays_ms.add(to_ms(event.at - arrived));
-        }
-        break;
-      }
-      case LinkLogEvent::Kind::kDrop:
-        ++summary.drops;
-        switch (event.reason) {
-          case DropReason::kOverflow:
-            ++summary.drops_overflow;
-            break;
-          case DropReason::kAqm:
-            ++summary.drops_aqm;
-            break;
-          case DropReason::kUnknown:
-            ++summary.drops_unknown;
-            break;
-        }
-        if (depth_packets > 0) {
-          --depth_packets;
-        }
-        depth_bytes -= std::min<std::uint64_t>(depth_bytes, event.bytes);
-        break;
-    }
-  }
-
-  if (!delays_ms.empty()) {
-    summary.delay_p50_ms = delays_ms.median();
-    summary.delay_p95_ms = delays_ms.percentile(95);
-    summary.delay_max_ms = delays_ms.max();
-  }
-  if (last_time > 0) {
-    summary.average_throughput_bps =
-        static_cast<double>(summary.bytes_delivered) * 8.0 /
-        (static_cast<double>(last_time) / 1e6);
-    const std::size_t bins =
-        static_cast<std::size_t>(last_time / bin_width) + 1;
-    summary.throughput_bins_bps.assign(bins, 0.0);
-    for (const auto& event : log.events()) {
-      if (event.kind == LinkLogEvent::Kind::kDeparture) {
-        summary.throughput_bins_bps[static_cast<std::size_t>(event.at / bin_width)] +=
-            static_cast<double>(event.bytes) * 8.0;
-      }
-    }
-    for (double& bin : summary.throughput_bins_bps) {
-      bin /= static_cast<double>(bin_width) / 1e6;
-    }
-  }
-  return summary;
+  return stats;
 }
 
 }  // namespace mahimahi::net

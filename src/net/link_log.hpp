@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/statistics.hpp"
@@ -18,43 +20,8 @@ enum class DropReason : std::uint8_t { kUnknown, kOverflow, kAqm };
 
 [[nodiscard]] std::string_view to_string(DropReason reason);
 
-/// One event in a link log — mahimahi's mm-link --uplink-log/--downlink-log
-/// records arrivals (+), departures (-) and drops (d) with millisecond
-/// timestamps and byte counts.
-struct LinkLogEvent {
-  enum class Kind : char { kArrival = '+', kDeparture = '-', kDrop = 'd' };
-  Microseconds at{0};
-  Kind kind{Kind::kArrival};
-  std::uint32_t bytes{0};
-  std::uint64_t packet_id{0};
-  DropReason reason{DropReason::kUnknown};  // meaningful for kDrop only
-};
-
-/// In-memory per-direction link log with mahimahi-compatible text output.
-class LinkLog {
- public:
-  void arrival(Microseconds at, std::uint32_t bytes, std::uint64_t id);
-  void departure(Microseconds at, std::uint32_t bytes, std::uint64_t id);
-  void drop(Microseconds at, std::uint32_t bytes, std::uint64_t id,
-            DropReason reason = DropReason::kUnknown);
-
-  [[nodiscard]] const std::vector<LinkLogEvent>& events() const { return events_; }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-
-  /// mahimahi log format: one event per line, "<ms> <+|-|d> <bytes>".
-  [[nodiscard]] std::string to_text() const;
-
-  /// Parse the text format back (round-trip; packet ids are not stored).
-  static LinkLog parse(std::string_view text);
-
- private:
-  void add(Microseconds at, LinkLogEvent::Kind kind, std::uint32_t bytes,
-           std::uint64_t id, DropReason reason = DropReason::kUnknown);
-  std::vector<LinkLogEvent> events_;
-};
-
-/// Summary statistics computed from a link log — what mm-throughput-graph
-/// and mm-delay-graph plot.
+/// Summary statistics of one link direction — what mm-throughput-graph
+/// and mm-delay-graph plot from mahimahi's --uplink-log/--downlink-log.
 struct LinkLogSummary {
   std::uint64_t arrivals{0};
   std::uint64_t departures{0};
@@ -81,9 +48,52 @@ struct LinkLogSummary {
   Microseconds bin_width{0};
 };
 
-/// Analyze a log. Delays are matched arrival->departure by packet id when
-/// ids are present, else FIFO order (the disciplines shipped are FIFO).
-LinkLogSummary summarize_link_log(const LinkLog& log,
-                                  Microseconds bin_width = 500'000);
+/// One link direction's log (mahimahi's mm-link --uplink-log/--downlink-
+/// log: arrivals, departures and drops with byte counts), folded into a
+/// LinkLogSummary as the events happen. No event list is kept: the fold
+/// holds an arrival stamp per packet still queued, one delay sample per
+/// departure and one throughput bin per `bin_width` of departures.
+///
+/// Delays are matched arrival -> departure by packet id when ids are
+/// present, else in FIFO order (the disciplines shipped are FIFO). A drop
+/// releases no stamp: a drophead queue reports its drop under the
+/// *arriving* packet's id, and that packet departs later; a CoDel
+/// dequeue-time drop carries id 0 and the aggregate dropped bytes.
+class LinkStats {
+ public:
+  /// Throws std::invalid_argument unless bin_width > 0.
+  explicit LinkStats(Microseconds bin_width = 500'000);
+
+  void arrival(Microseconds at, std::uint32_t bytes, std::uint64_t id);
+  void departure(Microseconds at, std::uint32_t bytes, std::uint64_t id);
+  void drop(Microseconds at, std::uint32_t bytes, std::uint64_t id,
+            DropReason reason = DropReason::kUnknown);
+
+  /// Events folded so far (arrivals + departures + drops).
+  [[nodiscard]] std::uint64_t events() const {
+    return summary_.arrivals + summary_.departures + summary_.drops;
+  }
+
+  [[nodiscard]] LinkLogSummary summary() const;
+
+  /// Fold mahimahi's text format, one event per line "<ms> <+|-|d>
+  /// <bytes>" (no packet ids, so delays match in FIFO order). Blank lines
+  /// and '#' comments are skipped; throws std::invalid_argument on a
+  /// malformed line.
+  static LinkStats parse(std::string_view text,
+                         Microseconds bin_width = 500'000);
+
+ private:
+  /// Counts, reasons, high-water marks and bytes_delivered accumulate
+  /// here directly; summary() adds the derived fields.
+  LinkLogSummary summary_;
+  std::unordered_map<std::uint64_t, Microseconds> queued_by_id_;
+  std::deque<Microseconds> queued_fifo_;  // arrivals with id 0
+  util::Samples delays_ms_;
+  std::vector<double> departed_bits_;  // per bin_width, grown on departure
+  Microseconds last_time_{0};
+  std::uint64_t depth_packets_{0};
+  std::uint64_t depth_bytes_{0};
+};
 
 }  // namespace mahimahi::net

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/synthesis.hpp"
+#include "util/random.hpp"
 #include "util/statistics.hpp"
 
 namespace mahimahi::net {
@@ -92,6 +94,55 @@ TEST(MultiBulkFlow, DeterministicAcrossRuns) {
     EXPECT_EQ(a.flows[i].retransmissions, b.flows[i].retransmissions);
   }
   EXPECT_DOUBLE_EQ(a.jain_index, b.jain_index);
+}
+
+TEST(MultiBulkFlow, PinnedLteReport) {
+  // The benchmark's six-controller fleet over the built-in "lte" trace
+  // pair behind PIE, 5 s: per-flow results and every bottleneck field,
+  // bit for bit.
+  using namespace mahimahi::literals;
+  MultiBulkFlowSpec spec;
+  spec.controllers = {"reno", "cubic", "bbr", "vegas", "cubic", "reno"};
+  spec.duration = 5'000'000;
+  util::Rng rng{77};
+  spec.uplink_trace = std::make_shared<const trace::PacketTrace>(
+      trace::constant_rate(6e6, 2_s));
+  spec.downlink_trace = std::make_shared<const trace::PacketTrace>(
+      trace::cellular_like(rng, 20_s, 2e6, 24e6));
+  spec.queue.discipline = "pie";
+  spec.loss = 0.0005;
+  const MultiBulkFlowReport report = run_multi_bulk_flow(spec);
+
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want_flows = {
+      {1223560, 5}, {172312, 9},   {1161296, 8},
+      {483632, 4},  {1249624, 18}, {1252520, 6}};
+  ASSERT_EQ(report.flows.size(), want_flows.size());
+  for (std::size_t i = 0; i < want_flows.size(); ++i) {
+    EXPECT_EQ(report.flows[i].controller, spec.controllers[i]);
+    EXPECT_EQ(report.flows[i].bytes_delivered, want_flows[i].first) << i;
+    EXPECT_EQ(report.flows[i].retransmissions, want_flows[i].second) << i;
+  }
+  EXPECT_EQ(report.jain_index, 0.82066977156797516);
+
+  const LinkLogSummary& b = report.bottleneck;
+  EXPECT_EQ(b.arrivals, 3989u);
+  EXPECT_EQ(b.departures, 3943u);
+  EXPECT_EQ(b.drops, 46u);
+  EXPECT_EQ(b.drops_overflow, 0u);
+  EXPECT_EQ(b.drops_aqm, 46u);
+  EXPECT_EQ(b.drops_unknown, 0u);
+  EXPECT_EQ(b.queue_high_water_packets, 84u);
+  EXPECT_EQ(b.queue_high_water_bytes, 126000u);
+  EXPECT_EQ(b.bytes_delivered, 5879748u);
+  EXPECT_EQ(b.average_throughput_bps, 9193678.2934675962);
+  EXPECT_EQ(b.delay_p50_ms, 2.04);
+  EXPECT_EQ(b.delay_p95_ms, 88.015699999999995);
+  EXPECT_EQ(b.delay_max_ms, 168.286);
+  EXPECT_EQ(b.throughput_bins_bps,
+            (std::vector<double>{8500992, 5040000, 5808000, 9312000, 9456000,
+                                 11232000, 11952000, 12504000, 10848000,
+                                 8280000, 1142976}));
+  EXPECT_EQ(b.bin_width, 500000);
 }
 
 }  // namespace

@@ -44,8 +44,8 @@ struct TransferOutcome {
 };
 
 /// One bulk transfer under `controller` over a 8 Mbit/s link with a
-/// deep (unbounded) buffer and 20 ms one-way delay; the link log yields
-/// the queueing-delay distribution the controller induced.
+/// deep (unbounded) buffer and 20 ms one-way delay; the link summary
+/// yields the queueing-delay distribution the controller induced.
 TransferOutcome bulk_transfer(const std::string& controller,
                               std::size_t bytes = 400 * kMss,
                               double loss = 0.0) {
@@ -53,7 +53,7 @@ TransferOutcome bulk_transfer(const std::string& controller,
   net.add_delay(20_ms);
   TraceLink& link = net.add_link(trace::constant_rate(8e6, 60_s),
                                  trace::constant_rate(8e6, 60_s));
-  link.enable_logging();
+  link.enable_summary(Direction::kUplink);
   if (loss > 0) {
     net.add_loss(util::Rng{7}, loss, loss);
   }
@@ -72,8 +72,7 @@ TransferOutcome bulk_transfer(const std::string& controller,
   outcome.completed_at = net.loop.now();
   outcome.segments_sent = client.connection().segments_sent();
   outcome.retransmissions = client.connection().retransmissions();
-  outcome.queue_delay_p95_ms =
-      summarize_link_log(link.log(Direction::kUplink)).delay_p95_ms;
+  outcome.queue_delay_p95_ms = link.summary(Direction::kUplink).delay_p95_ms;
   return outcome;
 }
 

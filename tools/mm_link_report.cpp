@@ -1,5 +1,7 @@
 // mm-link-report: analyze a saved link log (mm-link --uplink-log format) —
-// the mm-throughput-graph / mm-delay-graph equivalent.
+// the mm-throughput-graph / mm-delay-graph equivalent. Lines fold straight
+// into a net::LinkStats; no event list is kept. A bin width that is not a
+// whole number of milliseconds above zero exits 1.
 //
 //   usage: mm_link_report <log-file> [bin-ms]
 //          mm_link_report --cc [controller ...]
@@ -11,6 +13,7 @@
 // and cwnd_bytes(), pacing rate, retransmissions — and then the usual
 // link-log summary for the queue that flow built.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,6 +24,7 @@
 #include "cc/registry.hpp"
 #include "net/bulk_probe.hpp"
 #include "net/link_log.hpp"
+#include "util/strings.hpp"
 
 using namespace mahimahi;
 using namespace mahimahi::net;
@@ -123,8 +127,14 @@ int main(int argc, char** argv) {
     return run_cc_flows(controllers);
   }
 
-  const Microseconds bin_width =
-      argc > 2 ? static_cast<Microseconds>(std::atoll(argv[2])) * 1000 : 500'000;
+  std::uint64_t bin_ms = 500;
+  if (argc > 2 && (!util::parse_u64(argv[2], bin_ms) || bin_ms == 0 ||
+                   bin_ms > static_cast<std::uint64_t>(INT64_MAX / 1000))) {
+    std::fprintf(stderr, "error: bad bin width '%s' (want whole ms > 0)\n",
+                 argv[2]);
+    return 1;
+  }
+  const auto bin_width = static_cast<Microseconds>(bin_ms) * 1000;
 
   std::ifstream in{argv[1]};
   if (!in) {
@@ -134,17 +144,17 @@ int main(int argc, char** argv) {
   std::ostringstream contents;
   contents << in.rdbuf();
 
-  LinkLog log = [&] {
-    try {
-      return LinkLog::parse(contents.str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      std::exit(1);
-    }
-  }();
-  const LinkLogSummary summary = summarize_link_log(log, bin_width);
+  LinkStats log;
+  try {
+    log = LinkStats::parse(contents.str(), bin_width);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+  const LinkLogSummary summary = log.summary();
 
-  std::printf("log:                 %s (%zu events)\n", argv[1], log.size());
+  std::printf("log:                 %s (%llu events)\n", argv[1],
+              (unsigned long long)log.events());
   std::printf("arrivals:            %llu\n",
               (unsigned long long)summary.arrivals);
   std::printf("departures:          %llu\n",
