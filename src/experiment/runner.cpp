@@ -326,7 +326,7 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
 
   // Finalize one cell: merge its per-load traces by load index (the same
   // ordering contract as the report rows), derive its metrics block and
-  // export its artifacts, then free the buffers. It runs on the worker
+  // write its trace CSV, then free the buffers. It runs on the worker
   // that completes the cell's last task, so finalization overlaps the
   // simulation of later cells instead of queueing behind the whole
   // matrix, and only unfinished cells hold trace buffers. The bytes
@@ -354,12 +354,9 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
       const Cell& cell = cells[pos];
       const obs::TraceMeta meta{spec.name, cell.label(), cell.index,
                                 cell.cell_seed};
-      const std::string base =
-          options.trace_dir + "/cell" + std::to_string(cell.index);
-      util::atomic_write_file(base + ".trace.json",
-                              obs::to_chrome_trace(meta, traces));
-      util::atomic_write_file(base + ".har", obs::to_har(meta, traces));
-      util::atomic_write_file(base + ".csv", obs::to_csv(meta, traces));
+      util::atomic_write_file(
+          options.trace_dir + "/cell" + std::to_string(cell.index) + ".csv",
+          obs::to_csv(meta, traces));
     }
   };
 

@@ -31,15 +31,16 @@ struct RunOptions {
   /// queue-delay p95). Off = page loads only.
   bool transport_probes{true};
   /// When non-empty: every load task records a full obs trace, and each
-  /// cell exports three artifacts into this directory — cell<index>.trace
-  /// .json (Chrome trace-event / Perfetto), cell<index>.har (HAR 1.2) and
-  /// cell<index>.csv (time series, the `mm_trace` input). Tracing
-  /// follows the same determinism contract as the report: one Tracer per
-  /// task, buffers merged by load index, so artifact bytes are identical
-  /// at any thread or shard count. A cell's artifacts are written by the
-  /// worker that finishes its last task, while later cells still run, and
-  /// its buffers are freed right after. Off (empty) = zero tracing
-  /// overhead.
+  /// cell writes one artifact into this directory, cell<index>.csv: the
+  /// lossless time series `mm_trace` reads. The Chrome trace-event
+  /// (Perfetto) and HAR 1.2 views are rendered from it on demand by
+  /// `mm_trace export chrome|har`, byte for byte what obs::to_chrome_trace
+  /// and obs::to_har make of the in-run buffers. Tracing follows the same
+  /// determinism contract as the report: one Tracer per task, buffers
+  /// merged by load index, so the bytes are identical at any thread or
+  /// shard count. A cell's CSV is written by the worker that finishes its
+  /// last task, while later cells still run, and its buffers are freed
+  /// right after. Off (empty) = zero tracing overhead.
   std::string trace_dir{};
   /// Derive per-cell metrics (counters / gauges / log-bucketed histograms:
   /// queue residence, cwnd convergence, retransmit bursts, PLT critical
@@ -53,7 +54,7 @@ struct RunOptions {
   bool metrics{false};
   /// Progress callback (tasks_done, tasks_total, cells_done, cells_total),
   /// invoked from worker threads after every finished task. A cell counts
-  /// as done once its metrics block and trace artifacts are written.
+  /// as done once its metrics block and trace CSV are written.
   /// Observation only: it sees completion counts, never results, so it
   /// cannot perturb any artifact. Callers throttle/render (mm_experiment
   /// --progress).

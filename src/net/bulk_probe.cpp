@@ -20,9 +20,13 @@ BulkFlowReport run_bulk_flow(const BulkFlowSpec& spec) {
   Fabric fabric{loop};
   fabric.chain().push_back(
       std::make_unique<DelayBox>(loop, spec.one_way_delay));
+  QueueSpec queue;
+  queue.discipline = "droptail";
+  queue.max_packets = kBulkFlowBufferPackets;
   auto link = std::make_unique<TraceLink>(
       loop, trace::constant_rate(spec.link_mbps * 1e6, spec.trace_duration),
-      trace::constant_rate(spec.link_mbps * 1e6, spec.trace_duration));
+      trace::constant_rate(spec.link_mbps * 1e6, spec.trace_duration), queue,
+      queue);
   TraceLink& link_ref = *link;
   link_ref.enable_summary(Direction::kUplink);  // the client sends
   fabric.chain().push_back(std::move(link));

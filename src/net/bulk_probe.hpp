@@ -13,16 +13,21 @@
 
 namespace mahimahi::net {
 
+/// Droptail buffer of the reference rig's bottleneck, in packets: two
+/// bandwidth-delay products at the default 8 Mbit/s and 40 ms RTT.
+inline constexpr std::size_t kBulkFlowBufferPackets = 54;
+
 /// Reference single-flow rig behind mm_link_report --cc: one TCP bulk
 /// transfer through a fixed one-way delay and a constant-rate bottleneck
-/// with a deep (unbounded) buffer, optionally lossy, under a named
-/// congestion controller. Isolates the
-/// controller's transport behaviour — completion time and the queue it
-/// parks at the bottleneck — with no application model on top. Fully
-/// deterministic for a given spec.
+/// with a droptail buffer of kBulkFlowBufferPackets, optionally lossy,
+/// under a named congestion controller. The default 12 MB transfer
+/// overflows that buffer many times, so each controller's response to
+/// loss shapes its window, its queue and its completion time. Isolates
+/// the controller's transport behaviour with no application model on
+/// top. Fully deterministic for a given spec.
 struct BulkFlowSpec {
   std::string congestion_control{};  // "" = the default controller (reno)
-  std::size_t bytes{3 * 1000 * 1000};
+  std::size_t bytes{12 * 1000 * 1000};
   double link_mbps{8.0};             // symmetric bottleneck rate
   Microseconds one_way_delay{20'000};
   double loss{0.0};                  // i.i.d. per-packet, both directions

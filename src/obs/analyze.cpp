@@ -1,6 +1,8 @@
 #include "obs/analyze.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -10,35 +12,141 @@
 namespace mahimahi::obs {
 namespace {
 
-std::vector<std::string> split(const std::string& line, char sep,
-                               std::size_t max_fields) {
-  // The exporter sanitizes separators out of every text field, but capping
-  // the split keeps the last field whole if a future field grows commas.
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (fields.size() + 1 < max_fields) {
-    const std::size_t pos = line.find(sep, start);
-    if (pos == std::string::npos) {
-      break;
+constexpr std::string_view kMagic = "# mahimahi-obs-trace-v1";
+constexpr std::size_t kColumns = 10;
+
+/// Read the RFC 4180-quoted value that opens at text[pos] (a '"') into
+/// `out` and leave pos just past its closing quote. false = the quote is
+/// still open at the end of `text`.
+bool read_quoted(const std::string& text, std::size_t& pos, std::string& out) {
+  std::size_t from = pos + 1;
+  while (true) {
+    const std::size_t quote = text.find('"', from);
+    if (quote == std::string::npos) {
+      return false;
     }
-    fields.push_back(line.substr(start, pos - start));
-    start = pos + 1;
+    out.append(text, from, quote - from);
+    if (quote + 1 < text.size() && text[quote + 1] == '"') {
+      out += '"';
+      from = quote + 2;
+      continue;
+    }
+    pos = quote + 1;
+    return true;
   }
-  fields.push_back(line.substr(start));
-  return fields;
 }
 
-/// "key=value" token from the space-separated header comment; "" absent.
-std::string header_field(const std::string& header, const std::string& key) {
-  const std::string needle = " " + key + "=";
-  const std::size_t pos = header.find(needle);
-  if (pos == std::string::npos) {
-    return "";
+/// How splitting one record went. kOpen: a quoted value is still open at
+/// the end of the record — it holds a line break, so the record goes on
+/// in the next line.
+enum class Split { kDone, kOpen, kMalformed };
+
+/// Split a row into its kColumns cells, unquoting quoted ones. An unquoted
+/// last cell runs to the end of the row, commas included.
+Split split_row(const std::string& row, std::vector<std::string>& cells) {
+  cells.clear();
+  std::size_t pos = 0;
+  while (true) {
+    const bool last = cells.size() + 1 == kColumns;
+    std::string cell;
+    if (pos < row.size() && row[pos] == '"') {
+      if (!read_quoted(row, pos, cell)) {
+        return Split::kOpen;
+      }
+    } else {
+      const std::size_t end = last ? std::string::npos : row.find(',', pos);
+      const std::size_t stop = end == std::string::npos ? row.size() : end;
+      cell.assign(row, pos, stop - pos);
+      pos = stop;
+    }
+    cells.push_back(std::move(cell));
+    if (pos == row.size()) {
+      return cells.size() == kColumns ? Split::kDone : Split::kMalformed;
+    }
+    if (last || row[pos] != ',') {
+      return Split::kMalformed;
+    }
+    ++pos;
   }
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = header.find(' ', start);
-  return header.substr(start,
-                       end == std::string::npos ? end : end - start);
+}
+
+/// The header's " key=value" pairs after the magic: a value runs to the
+/// next space unless it is quoted.
+Split split_header(const std::string& header,
+                   std::map<std::string, std::string>& fields) {
+  std::size_t pos = kMagic.size();
+  while (pos < header.size()) {
+    const std::size_t equals = header.find('=', pos);
+    if (header[pos] != ' ' || equals == std::string::npos) {
+      return Split::kMalformed;
+    }
+    std::string& value = fields[header.substr(pos + 1, equals - pos - 1)];
+    value.clear();
+    pos = equals + 1;
+    if (pos < header.size() && header[pos] == '"') {
+      if (!read_quoted(header, pos, value)) {
+        return Split::kOpen;
+      }
+    } else {
+      const std::size_t end = std::min(header.find(' ', pos), header.size());
+      value.assign(header, pos, end - pos);
+      pos = end;
+    }
+  }
+  return Split::kDone;
+}
+
+/// Whether `line`, read while a quoted value is open, closes it: holds a
+/// quote that is not half of a doubled one.
+bool closes_quote(std::string_view line) {
+  for (std::size_t quote = line.find('"'); quote != std::string_view::npos;
+       quote = line.find('"', quote + 2)) {
+    if (quote + 1 == line.size() || line[quote + 1] != '"') {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Read one record into `record`: one line, plus the lines after it while
+/// `split` reports a quoted value still open. false at end of input;
+/// otherwise `result` is the record's split, kOpen when the input ended
+/// inside a quoted value. The record is split again only when a line
+/// closes its open value; each such split ends the record or opens a later
+/// cell, so a record is split at most once per cell and a stray quote
+/// costs one pass over the input, not one split per line.
+template <typename SplitFn>
+bool read_record(std::istream& in, std::string& record, Split& result,
+                 SplitFn split) {
+  if (!std::getline(in, record)) {
+    return false;
+  }
+  result = split(record);
+  std::string more;
+  while (result == Split::kOpen && std::getline(in, more)) {
+    record += '\n';
+    record += more;
+    if (closes_quote(more)) {
+      result = split(record);
+    }
+  }
+  return true;
+}
+
+/// Parse all of `text` as a number; false when it is not one or bytes are
+/// left over.
+template <typename Number>
+bool parse_whole(std::string_view text, Number& out) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
+}
+
+/// `text` as a number, or `fallback` when it is not one (an absent value).
+template <typename Number>
+Number parse_or(std::string_view text, Number fallback) {
+  Number value{};
+  return parse_whole(text, value) ? value : fallback;
 }
 
 void fail(std::string* error, const std::string& reason) {
@@ -50,19 +158,36 @@ void fail(std::string* error, const std::string& reason) {
 }  // namespace
 
 std::string detail_field(const std::string& detail, const std::string& key) {
-  const std::string needle = key + "=";
   std::size_t pos = 0;
   while (pos < detail.size()) {
-    const std::size_t end = detail.find(';', pos);
-    const std::string item =
-        detail.substr(pos, end == std::string::npos ? end : end - pos);
-    if (item.rfind(needle, 0) == 0) {
-      return item.substr(needle.size());
-    }
-    if (end == std::string::npos) {
+    const std::size_t stop = detail.find_first_of("=;", pos);
+    if (stop == std::string::npos) {
       break;
     }
-    pos = end + 1;
+    if (detail[stop] == ';') {  // an item without a value
+      pos = stop + 1;
+      continue;
+    }
+    const bool wanted = detail.compare(pos, stop - pos, key) == 0;
+    pos = stop + 1;
+    std::string value;
+    if (pos < detail.size() && detail[pos] == '"') {
+      if (!read_quoted(detail, pos, value)) {
+        value.assign(detail, pos);  // unterminated: the rest, as written
+        pos = detail.size();
+      }
+    } else {
+      pos = std::min(detail.find(';', pos), detail.size());
+      value.assign(detail, stop + 1, pos - stop - 1);
+    }
+    if (wanted) {
+      return value;
+    }
+    pos = detail.find(';', pos);
+    if (pos == std::string::npos) {
+      break;
+    }
+    ++pos;
   }
   return "";
 }
@@ -76,41 +201,52 @@ std::optional<ParsedTrace> parse_trace_csv(std::istream& in,
                                            std::string* error) {
   ParsedTrace trace;
   std::string header;
-  if (!std::getline(in, header) ||
-      header.rfind("# mahimahi-obs-trace-v1", 0) != 0) {
+  std::map<std::string, std::string> fields;
+  Split split = Split::kMalformed;
+  if (!read_record(in, header, split,
+                   [&](const std::string& text) {
+                     return text.rfind(kMagic, 0) == 0
+                                ? split_header(text, fields)
+                                : Split::kMalformed;
+                   }) ||
+      split != Split::kDone) {
     fail(error, "not a mahimahi-obs-trace-v1 CSV");
     return std::nullopt;
   }
-  trace.experiment = header_field(header, "experiment");
-  trace.cell_label = header_field(header, "label");
-  const std::string cell = header_field(header, "cell");
-  trace.cell_index = cell.empty() ? -1 : std::atoi(cell.c_str());
-  trace.seed = std::strtoull(header_field(header, "seed").c_str(), nullptr, 10);
+  trace.experiment = fields["experiment"];
+  trace.cell_label = fields["label"];
+  trace.cell_index = parse_or(fields["cell"], -1);
+  trace.seed = parse_or<std::uint64_t>(fields["seed"], 0);
 
   std::string columns;
   std::getline(in, columns);  // "load,session,t_us,..."
 
   std::string line;
-  while (std::getline(in, line)) {
+  std::vector<std::string> cells;
+  while (read_record(in, line, split, [&](const std::string& text) {
+    return text.empty() ? Split::kDone : split_row(text, cells);
+  })) {
     if (line.empty()) {
       continue;
     }
-    std::vector<std::string> fields = split(line, ',', 10);
-    if (fields.size() != 10) {
-      fail(error, "malformed row: " + line);
+    if (split != Split::kDone) {
+      fail(error, "malformed row: " + line.substr(0, line.find('\n')));
       return std::nullopt;
     }
     TraceRow row;
-    row.load = std::atoi(fields[0].c_str());
-    row.session = std::atoi(fields[1].c_str());
-    row.t_us = std::atoll(fields[2].c_str());
-    row.layer = std::move(fields[3]);
-    row.kind = std::move(fields[4]);
-    row.flow = std::strtoull(fields[5].c_str(), nullptr, 10);
-    row.value = std::strtoull(fields[6].c_str(), nullptr, 10);
-    row.metric = std::atof(fields[7].c_str());
-    row.label = std::move(fields[8]);
-    row.detail = std::move(fields[9]);
+    if (!parse_whole(cells[0], row.load) ||
+        !parse_whole(cells[1], row.session) ||
+        !parse_whole(cells[2], row.t_us) ||
+        !parse_whole(cells[5], row.flow) ||
+        !parse_whole(cells[6], row.value) ||
+        !parse_whole(cells[7], row.metric)) {
+      fail(error, "malformed number in row: " + line);
+      return std::nullopt;
+    }
+    row.layer = std::move(cells[3]);
+    row.kind = std::move(cells[4]);
+    row.label = std::move(cells[8]);
+    row.detail = std::move(cells[9]);
     row.raw = std::move(line);
     trace.rows.push_back(std::move(row));
   }
@@ -125,6 +261,11 @@ std::optional<ParsedTrace> parse_trace_file(const std::string& path,
     return std::nullopt;
   }
   return parse_trace_csv(in, error);
+}
+
+TraceMeta to_trace_meta(const ParsedTrace& trace) {
+  return TraceMeta{trace.experiment, trace.cell_label, trace.cell_index,
+                   trace.seed};
 }
 
 std::vector<LoadTrace> to_load_traces(const ParsedTrace& trace) {
@@ -150,11 +291,9 @@ std::vector<LoadTrace> to_load_traces(const ParsedTrace& trace) {
       o.first_byte = detail_us(row.detail, "first_byte_us");
       o.complete = detail_us(row.detail, "complete_us");
       o.bytes = row.value;
-      const std::string status = detail_field(row.detail, "status");
-      o.status = static_cast<std::uint32_t>(std::atoi(status.c_str()));
-      const std::string attempts = detail_field(row.detail, "attempts");
-      o.attempts = static_cast<std::uint32_t>(
-          attempts.empty() ? 1 : std::atoi(attempts.c_str()));
+      o.status = parse_or<std::uint32_t>(detail_field(row.detail, "status"), 0);
+      o.attempts =
+          parse_or<std::uint32_t>(detail_field(row.detail, "attempts"), 1);
       o.failed = detail_field(row.detail, "failed") == "1";
       o.error = detail_field(row.detail, "error");
       buffer.objects.push_back(std::move(o));
@@ -165,10 +304,9 @@ std::vector<LoadTrace> to_load_traces(const ParsedTrace& trace) {
       p.session = row.session;
       p.url = row.label;
       p.started_at = row.t_us;
-      p.plt = static_cast<Microseconds>(row.metric * 1000.0 + 0.5);
-      const std::string degraded = detail_field(row.detail, "degraded_ms");
-      p.degraded_plt = static_cast<Microseconds>(
-          std::atof(degraded.c_str()) * 1000.0 + 0.5);
+      p.plt = std::llround(row.metric * 1000.0);
+      p.degraded_plt = std::llround(
+          parse_or(detail_field(row.detail, "degraded_ms"), 0.0) * 1000.0);
       p.success = row.value != 0;
       buffer.pages.push_back(std::move(p));
       continue;
@@ -177,7 +315,9 @@ std::vector<LoadTrace> to_load_traces(const ParsedTrace& trace) {
     e.at = row.t_us;
     if (!layer_from_string(row.layer, e.layer) ||
         !kind_from_string(row.kind, e.kind)) {
-      continue;  // future layer/kind: skip rather than misclassify
+      // An empty-load row only opens its load (above); a future
+      // layer/kind is skipped rather than misclassified.
+      continue;
     }
     e.session = row.session;
     e.flow = row.flow;

@@ -11,9 +11,12 @@
 
 namespace mahimahi::obs {
 
-/// One parsed row of a "mahimahi-obs-trace-v1" CSV. `raw` keeps the exact
-/// line bytes — divergence localization is defined as the first raw-line
-/// mismatch, the same relation CI's cmp-based byte checks test.
+/// One parsed row of a "mahimahi-obs-trace-v1" CSV. `label` and `detail`
+/// hold the cells unquoted (detail's own values stay as written; read them
+/// through detail_field). `raw` keeps the exact record bytes (more than one
+/// line when a quoted cell holds a line break) — divergence localization
+/// is defined as the first raw-record mismatch, the same relation CI's
+/// cmp-based byte checks test.
 struct TraceRow {
   int load{0};
   std::int32_t session{0};
@@ -37,14 +40,16 @@ struct ParsedTrace {
   std::vector<TraceRow> rows;
 };
 
-/// Parse a trace CSV (header line, column line, rows). nullopt on a
-/// malformed input, with a one-line reason in *error when given.
+/// Parse a trace CSV (header line, column line, rows), undoing to_csv's
+/// quoting. nullopt on a malformed input, with a one-line reason in *error
+/// when given.
 [[nodiscard]] std::optional<ParsedTrace> parse_trace_csv(
     std::istream& in, std::string* error = nullptr);
 [[nodiscard]] std::optional<ParsedTrace> parse_trace_file(
     const std::string& path, std::string* error = nullptr);
 
-/// Extract "key=value" from a ';'-separated detail blob; "" if absent.
+/// Extract "key=value" from a ';'-separated detail blob, unquoting a
+/// quoted value; "" if absent.
 [[nodiscard]] std::string detail_field(const std::string& detail,
                                        const std::string& key);
 /// detail_field parsed as microseconds; -1 when absent/empty.
@@ -52,12 +57,15 @@ struct ParsedTrace {
                                      const std::string& key);
 
 /// Rebuild LoadTraces from parsed rows (events, objects and pages grouped
-/// by load index, preserving row order) — the derived-metric input of
-/// `mm_trace metrics` and `mm_trace diff`. Reconstruction inverts to_csv
-/// up to the CSV's own precision: `metric` round-trips through %.6f and
-/// object/page rows carry their phase timestamps in `detail`, which is
-/// exact for every field the metric derivations consume.
+/// by load index, preserving row order) — the input of `mm_trace metrics`,
+/// `mm_trace diff` and `mm_trace export`. Reconstruction inverts to_csv
+/// exactly for every field the exporters and the metric derivations read,
+/// so to_chrome_trace/to_har of the result reproduce the in-run bytes.
+/// Page times come back to the microsecond from their millisecond cells.
 [[nodiscard]] std::vector<LoadTrace> to_load_traces(const ParsedTrace& trace);
+
+/// The TraceMeta the CSV's header carries (the exporters' provenance).
+[[nodiscard]] TraceMeta to_trace_meta(const ParsedTrace& trace);
 
 /// ASCII per-object waterfall over the loads' time axis (the body of
 /// `mm_trace dump --waterfall`). Each column shows the phase in progress at

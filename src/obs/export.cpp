@@ -1,6 +1,8 @@
 #include "obs/export.hpp"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -275,47 +277,131 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   return out;
 }
 
-void append_csv_field(std::string& out, std::string_view text) {
+namespace {
+
+// ---- CSV ------------------------------------------------------------------
+// The CSV is the one on-disk trace, so every value the Chrome and HAR
+// exporters read must come back from it exactly. Each encoding leaves the
+// common case's bytes alone and only spends extra bytes on a value that
+// would not read back otherwise.
+
+/// The row that stands for a load with an empty buffer (a task that failed
+/// or was cancelled before it traced anything), after its load index.
+constexpr std::string_view kEmptyLoadRow =
+    ",0,0,runner,empty-load,0,0,0.000000,,\n";
+
+/// A `metric` cell: "%.6f" where that reads back as exactly the value,
+/// else the shortest digits that do (e.g. a fractional CUBIC cwnd).
+struct CsvMetric {
+  double value;
+};
+void append_piece(std::string& out, CsvMetric piece) {
+  const double value = piece.value;
   const std::size_t start = out.size();
-  out += text;
-  for (std::size_t i = start; i < out.size(); ++i) {
-    if (out[i] == ',' || out[i] == '\n' || out[i] == '\r') {
-      out[i] = ';';
-    }
+  util::append_fixed(out, value, 6);
+  bool exact = false;
+  if (std::fabs(value) < 0x1p31) {
+    // "%.6f" prints k/10^6 for k = round(value * 10^6), and from_chars
+    // reads it back as the double nearest k/10^6: the same double as
+    // k / 1e6. Below 2^31 the product rounds by under a quarter, so
+    // nearbyint finds k without reading the text back.
+    exact = std::nearbyint(value * 1e6) / 1e6 == value;
+  } else {
+    // Past 2^31 (whole numbers in practice, which print exactly) the text
+    // is read back to settle it; NaN prints "nan" either way.
+    double back = 0;
+    std::from_chars(out.data() + start, out.data() + out.size(), back);
+    exact = back == value || std::isnan(value);
   }
+  if (!exact) {
+    out.resize(start);
+    char buffer[32];
+    const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    out.append(buffer, result.ptr);
+  }
+}
+
+/// Append `text`, RFC 4180-quoted (wrapped in quotes, inner quotes
+/// doubled) when it holds a byte of `special` or starts with a quote.
+void append_quoted_if(std::string& out, std::string_view text,
+                      std::string_view special) {
+  if (text.find_first_of(special) == std::string_view::npos &&
+      (text.empty() || text.front() != '"')) {
+    out += text;
+    return;
+  }
+  out += '"';
+  for (const char c : text) {
+    if (c == '"') {
+      out += '"';
+    }
+    out += c;
+  }
+  out += '"';
+}
+
+/// A text value inside the ';'-separated detail cell (an object's kind
+/// and error).
+struct DetailValue {
+  std::string_view text;
+};
+void append_piece(std::string& out, DetailValue piece) {
+  append_quoted_if(out, piece.text, ";");
+}
+
+/// A text value of the space-separated header line.
+struct HeaderValue {
+  std::string_view text;
+};
+void append_piece(std::string& out, HeaderValue piece) {
+  append_quoted_if(out, piece.text, " \n\r");
+}
+
+}  // namespace
+
+void append_csv_field(std::string& out, std::string_view text) {
+  append_quoted_if(out, text, ",\n\r");
 }
 
 std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  append(out, "# mahimahi-obs-trace-v1 experiment=", CsvField{meta.experiment},
-         " cell=", meta.cell_index, " label=", CsvField{meta.cell_label},
-         " seed=", meta.cell_seed, "\n");
+  append(out, "# mahimahi-obs-trace-v1 experiment=",
+         HeaderValue{meta.experiment}, " cell=", meta.cell_index,
+         " label=", HeaderValue{meta.cell_label}, " seed=", meta.cell_seed,
+         "\n");
   out += "load,session,t_us,layer,kind,flow,value,metric,label,detail\n";
+  std::string detail;
   for (const LoadTrace& load : loads) {
     const int index = load.load_index;
+    if (load.buffer.empty()) {
+      append(out, index, kEmptyLoadRow);
+    }
     for (const TraceEvent& e : load.buffer.events) {
       append(out, index, ",", e.session, ",", e.at, ",", to_string(e.layer),
              ",", to_string(e.kind), ",", e.flow, ",", e.value, ",",
-             Fixed{e.metric, 6}, ",", CsvField{e.label}, ",\n");
+             CsvMetric{e.metric}, ",", CsvField{e.label}, ",\n");
     }
     for (const ObjectRecord& o : load.buffer.objects) {
+      // t_us is the raw fetch_start (-1 = never started); the metric
+      // column keeps the span the Chrome export draws.
       const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
       const Microseconds end = o.complete >= 0 ? o.complete : start;
-      append(out, index, ",", o.session, ",", start, ",browser,object,0,",
-             o.bytes, ",", Fixed{to_ms(end - start), 6}, ",",
-             CsvField{o.url}, ",kind=", CsvField{o.kind}, ";status=",
-             o.status, ";attempts=", o.attempts,
-             ";failed=", o.failed ? "1" : "0", ";dns_start_us=", o.dns_start,
-             ";dns_done_us=", o.dns_done, ";connect_us=", o.connect_done,
-             ";request_us=", o.request_sent, ";first_byte_us=", o.first_byte,
-             ";complete_us=", o.complete, ";error=", CsvField{o.error},
-             "\n");
+      detail.clear();
+      append(detail, "kind=", DetailValue{o.kind}, ";status=", o.status,
+             ";attempts=", o.attempts, ";failed=", o.failed ? "1" : "0",
+             ";dns_start_us=", o.dns_start, ";dns_done_us=", o.dns_done,
+             ";connect_us=", o.connect_done, ";request_us=", o.request_sent,
+             ";first_byte_us=", o.first_byte, ";complete_us=", o.complete,
+             ";error=", DetailValue{o.error});
+      append(out, index, ",", o.session, ",", o.fetch_start,
+             ",browser,object,0,", o.bytes, ",", CsvMetric{to_ms(end - start)},
+             ",", CsvField{o.url}, ",", CsvField{detail}, "\n");
     }
     for (const PageRecord& p : load.buffer.pages) {
       append(out, index, ",", p.session, ",", p.started_at,
              ",browser,page,0,", p.success ? "1" : "0", ",",
-             Fixed{to_ms(p.plt), 6}, ",", CsvField{p.url}, ",degraded_ms=",
+             CsvMetric{to_ms(p.plt)}, ",", CsvField{p.url}, ",degraded_ms=",
              Fixed{to_ms(p.degraded_plt), 3}, "\n");
     }
   }

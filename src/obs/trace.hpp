@@ -88,6 +88,8 @@ struct TraceEvent {
   std::uint64_t value{0};  // kind-specific integer payload
   double metric{0};        // kind-specific scalar payload
   std::string label;       // kind-specific tag (direction, url, reason...)
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 /// Per-object waterfall: the browser fills phases in as they happen.
@@ -114,6 +116,8 @@ struct ObjectRecord {
   std::uint32_t attempts{1};
   bool failed{false};
   std::string error;  // terminal error for failed objects
+
+  friend bool operator==(const ObjectRecord&, const ObjectRecord&) = default;
 };
 
 /// One page load, the HAR "page" unit.
@@ -124,6 +128,8 @@ struct PageRecord {
   Microseconds plt{0};
   Microseconds degraded_plt{0};
   bool success{false};
+
+  friend bool operator==(const PageRecord&, const PageRecord&) = default;
 };
 
 /// Everything one load produced. Buffers are plain values: the experiment
@@ -138,6 +144,8 @@ struct TraceBuffer {
   [[nodiscard]] bool empty() const {
     return events.empty() && objects.empty() && pages.empty();
   }
+
+  friend bool operator==(const TraceBuffer&, const TraceBuffer&) = default;
 };
 
 /// Collects events for ONE deterministic simulation (one load task, or one

@@ -1,6 +1,5 @@
 #include "record/store.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -74,33 +73,47 @@ RecordStore RecordStore::load(const std::filesystem::path& directory) {
     throw std::runtime_error{"recorded folder does not exist: " +
                              directory.string()};
   }
-  // Deterministic order: sort by the numeric index embedded in the name.
-  std::vector<std::filesystem::path> files;
+  // Deterministic order: by the index embedded in each save_<index>_<hash>
+  // name, which must parse and be unique — the Matcher's "earliest
+  // recorded" tie-break and the servers' spawn order follow this order,
+  // so it must never fall back to the directory listing's.
+  struct File {
+    std::filesystem::path path;
+    std::string hash;  // as named
+  };
+  std::map<std::uint64_t, File> files;
   for (const auto& entry : std::filesystem::directory_iterator(directory)) {
-    if (entry.is_regular_file() &&
-        util::starts_with(entry.path().filename().string(), "save_")) {
-      files.push_back(entry.path());
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_regular_file() || !util::starts_with(name, "save_")) {
+      continue;
     }
-  }
-  const auto index_of = [](const std::filesystem::path& p) {
-    const std::string name = p.filename().string();  // keep alive for views
     const auto fields = util::split(name, '_');
     std::uint64_t index = 0;
-    if (fields.size() >= 2) {
-      (void)util::parse_u64(fields[1], index);
+    if (fields.size() != 3 || !util::parse_u64(fields[1], index)) {
+      throw SerializeError{"record file " + entry.path().string() +
+                           ": name is not save_<index>_<hash>"};
     }
-    return index;
-  };
-  std::sort(files.begin(), files.end(),
-            [&](const std::filesystem::path& a, const std::filesystem::path& b) {
-              return index_of(a) < index_of(b);
-            });
+    const auto [it, fresh] =
+        files.emplace(index, File{entry.path(), std::string{fields[2]}});
+    if (!fresh) {
+      throw SerializeError{"record file " + entry.path().string() +
+                           ": index " + std::to_string(index) +
+                           " is also used by " + it->second.path.string()};
+    }
+  }
   RecordStore store;
-  for (const auto& file : files) {
-    std::ifstream in{file, std::ios::binary};
+  for (const auto& [index, file] : files) {
+    std::ifstream in{file.path, std::ios::binary};
     std::ostringstream contents;
     contents << in.rdbuf();
-    store.add(decode_exchange(contents.str()));
+    const std::string bytes = contents.str();
+    const std::string hash = util::to_hex(util::fnv1a(bytes));
+    if (file.hash != hash) {
+      throw SerializeError{"record file " + file.path.string() +
+                           ": content hash is " + hash + ", its name says " +
+                           file.hash};
+    }
+    store.add(decode_exchange(bytes));
   }
   return store;
 }

@@ -44,8 +44,11 @@ class RecordStore {
   /// is created if needed and must be empty of previous recordings.
   void save(const std::filesystem::path& directory) const;
 
-  /// Load every `save_*` file in the directory. Throws SerializeError /
-  /// std::runtime_error on corrupt or missing data.
+  /// Load every `save_*` file in the directory, in index order. Throws
+  /// std::runtime_error when the directory is missing, and SerializeError
+  /// naming the file for corrupt data: a name that is not
+  /// save_<index>_<hash>, an index used twice, content whose fnv1a hash
+  /// is not the one in its name, or bytes that do not decode.
   static RecordStore load(const std::filesystem::path& directory);
 
  private:

@@ -8,9 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +18,7 @@
 #include "experiment/runner.hpp"
 #include "fault/fault.hpp"
 #include "obs/profile.hpp"
+#include "obs/trace_views.hpp"
 
 namespace mahimahi::experiment {
 namespace {
@@ -65,14 +64,6 @@ ExperimentSpec small_spec() {
       "crash:p=0.3 retry:deadline=2s,max=3,base=100ms,cap=1s");
   spec.faults = {FaultAxis{}, chaos};
   return spec;
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in{path, std::ios::binary};
-  EXPECT_TRUE(in) << "missing artifact " << path;
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
 }
 
 fs::path fresh_dir(const std::string& name) {
@@ -194,13 +185,7 @@ TEST(ExperimentMetrics, ProfilerPerturbsNothing) {
   obs::Profiler::reset();
 
   EXPECT_EQ(quiet.to_json(), profiled.to_json());
-  for (const char* suffix : {".trace.json", ".har", ".csv"}) {
-    for (int cell = 0; cell < 2; ++cell) {
-      const std::string name = "cell" + std::to_string(cell) + suffix;
-      EXPECT_EQ(read_file(cold_dir / name), read_file(hot_dir / name))
-          << name;
-    }
-  }
+  obs::expect_identical_views(cold_dir, hot_dir, {0, 1});
   // The profiled run actually recorded the pipeline phases.
   std::vector<std::string> names;
   names.reserve(scopes.size());
@@ -278,11 +263,13 @@ TEST(ExperimentMetrics, CellFinishedBeforeCancellationKeepsItsBytes) {
   EXPECT_EQ(partial.cells[0].loads_done, 2);
   EXPECT_EQ(partial.cells[1].loads_done, 0);
   EXPECT_EQ(partial.cells[0].metrics_json, full.cells[0].metrics_json);
-  for (const char* suffix : {".trace.json", ".har", ".csv"}) {
-    const std::string name = std::string{"cell0"} + suffix;
-    EXPECT_EQ(read_file(cut_dir / name), read_file(clean_dir / name)) << name;
-    EXPECT_TRUE(fs::exists(cut_dir / (std::string{"cell1"} + suffix)));
-  }
+  obs::expect_identical_views(cut_dir, clean_dir, {0});
+  // The skipped cell's CSV keeps its two load-less loads, so the views
+  // rendered from it still name both (as "load 0" / "load 1" processes).
+  const auto skipped = obs::cell_views(cut_dir, 1);
+  ASSERT_EQ(skipped.size(), 3u);
+  EXPECT_NE(skipped[1].second.find(R"("args":{"name":"load 1"})"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -81,10 +81,37 @@ TEST_F(MmLinkReport, TextModeMatchesGoldens) {
   EXPECT_EQ(fallback.out, read_file(kGoldenDir / "sample.txt"));
 }
 
+/// The lines `--cc` prints for one controller's flow (its "flow:" line and
+/// the queue summary under it), from the field after the padded
+/// controller name on.
+std::string flow_block(const std::string& out, const std::string& cc) {
+  const std::size_t head = out.find("flow: cc=" + cc + " ");
+  if (head == std::string::npos) {
+    return "";
+  }
+  const std::size_t start = out.find_first_not_of(' ', head + 10 + cc.size());
+  return out.substr(start, out.find("\n\n", start) - start);
+}
+
 TEST_F(MmLinkReport, CcModeMatchesGolden) {
   const ToolRun run = run_tool("--cc reno cubic", "cc");
   EXPECT_EQ(run.status, 0) << run.err;
   EXPECT_EQ(run.out, read_file(kGoldenDir / "cc_reno_cubic.txt"));
+}
+
+TEST_F(MmLinkReport, CcModeTellsControllersApart) {
+  // The reference flow has to meet loss for loss-based controllers to
+  // differ; over a buffer that never fills, reno and cubic print the same
+  // window, completion time and queue.
+  const ToolRun run = run_tool("--cc reno cubic", "cc");
+  ASSERT_EQ(run.status, 0) << run.err;
+  const std::string reno = flow_block(run.out, "reno");
+  const std::string cubic = flow_block(run.out, "cubic");
+  ASSERT_FALSE(reno.empty()) << run.out;
+  ASSERT_FALSE(cubic.empty()) << run.out;
+  EXPECT_NE(reno.substr(0, reno.find('\n')),
+            cubic.substr(0, cubic.find('\n')));
+  EXPECT_NE(reno, cubic);
 }
 
 TEST_F(MmLinkReport, BadBinWidthExitsOne) {

@@ -1,9 +1,9 @@
 // The exported-artifact determinism contract, end to end through the
 // experiment engine: for a fixed spec, the bytes of every per-cell trace
-// artifact (Chrome trace JSON, HAR, CSV) are identical at any thread
-// count and across shard splits — including chaos (fault-ladder) and
-// fleet (shared-world mux) cells. Also pins that turning tracing on does
-// not perturb the measurements themselves.
+// CSV, and of the Chrome trace JSON and HAR rendered from it, are
+// identical at any thread count and across shard splits — including chaos
+// (fault-ladder) and fleet (shared-world mux) cells. Also pins that
+// turning tracing on does not perturb the measurements themselves.
 
 #include <filesystem>
 #include <fstream>
@@ -16,6 +16,7 @@
 #include "core/parallel_runner.hpp"
 #include "experiment/runner.hpp"
 #include "fault/fault.hpp"
+#include "obs/trace_views.hpp"
 
 namespace mahimahi::experiment {
 namespace {
@@ -83,18 +84,7 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-constexpr const char* kSuffixes[] = {".trace.json", ".har", ".csv"};
-
-void expect_identical_artifacts(const fs::path& a, const fs::path& b,
-                                const std::vector<int>& cell_indices) {
-  for (const int cell : cell_indices) {
-    for (const char* suffix : kSuffixes) {
-      const std::string name = "cell" + std::to_string(cell) + suffix;
-      EXPECT_EQ(read_file(a / name), read_file(b / name))
-          << name << " differs between " << a << " and " << b;
-    }
-  }
-}
+using obs::expect_identical_views;
 
 TEST(ObsDeterminism, ArtifactsByteIdenticalAcrossThreadCounts) {
   const ExperimentSpec spec = chaos_spec();
@@ -112,8 +102,8 @@ TEST(ObsDeterminism, ArtifactsByteIdenticalAcrossThreadCounts) {
   const Report b = run_experiment(spec, options_eight);
   EXPECT_EQ(a.to_json(), b.to_json());
   ASSERT_EQ(a.cells.size(), 2u);
-  expect_identical_artifacts(options_one.trace_dir, options_eight.trace_dir,
-                             {0, 1});
+  expect_identical_views(options_one.trace_dir, options_eight.trace_dir,
+                         {0, 1});
   // The chaos cell really exercised the fault path, and its injections
   // landed in the trace.
   EXPECT_GT(a.cells[1].retries + a.cells[1].timeouts +
@@ -142,8 +132,8 @@ TEST(ObsDeterminism, FleetArtifactsByteIdenticalAcrossThreadCounts) {
   const Report a = run_experiment(spec, options_one);
   const Report b = run_experiment(spec, options_eight);
   EXPECT_EQ(a.to_json(), b.to_json());
-  expect_identical_artifacts(options_one.trace_dir, options_eight.trace_dir,
-                             {0});
+  expect_identical_views(options_one.trace_dir, options_eight.trace_dir,
+                         {0});
   // All three sessions appear as distinct streams, plus shared infra (-1).
   const std::string csv =
       read_file(fs::path{options_one.trace_dir} / "cell0.csv");
@@ -172,7 +162,7 @@ TEST(ObsDeterminism, ShardSplitsReproduceTheUnshardedArtifacts) {
     options.trace_dir = shard_dir.string();
     run_experiment(spec, options);
   }
-  expect_identical_artifacts(full_options.trace_dir, shard_dir, {0, 1});
+  expect_identical_views(full_options.trace_dir, shard_dir, {0, 1});
 }
 
 TEST(ObsDeterminism, TracingDoesNotPerturbTheReport) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/analyze.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
@@ -162,6 +163,22 @@ TEST(ExportGolden, CsvMatchesTheCheckedInGolden) {
   maybe_update_golden(golden_path("trace.csv"), csv);
   const std::string golden = read_file(golden_path("trace.csv"));
   EXPECT_EQ(csv, golden) << "actual CSV:\n" << csv;
+}
+
+TEST(ExportGolden, ViewsRenderFromTheGoldenCsv) {
+  // The CSV is the one on-disk trace: parsed back, it is the fixture, so
+  // the Chrome trace and HAR `mm_trace export` renders from it are the
+  // exporters' output on the in-memory buffers (and the HAR its golden).
+  std::istringstream in{read_file(golden_path("trace.csv"))};
+  std::string error;
+  const auto parsed = parse_trace_csv(in, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  const TraceMeta meta = to_trace_meta(*parsed);
+  const std::vector<LoadTrace> loads = to_load_traces(*parsed);
+  EXPECT_TRUE(loads == golden_loads());
+  EXPECT_EQ(to_chrome_trace(meta, loads),
+            to_chrome_trace(kMeta, golden_loads()));
+  EXPECT_EQ(to_har(meta, loads), read_file(golden_path("trace.har")));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <fstream>
 
 #include "record/serialize.hpp"
+#include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::record {
 namespace {
@@ -79,9 +81,84 @@ TEST(RecordStore, LoadCorruptFileThrows) {
   const auto dir = std::filesystem::temp_directory_path() / "mahi_store_corrupt";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  std::ofstream{dir / "save_0_deadbeef"} << "this is not MahiTLV";
+  // Named with its real content hash, so the bytes reach the decoder.
+  const std::string garbage = "this is not MahiTLV";
+  std::ofstream{dir / ("save_0_" + util::to_hex(util::fnv1a(garbage)))}
+      << garbage;
   EXPECT_THROW(RecordStore::load(dir), SerializeError);
+  try {
+    (void)RecordStore::load(dir);
+  } catch (const SerializeError& error) {
+    EXPECT_NE(std::string{error.what()}.find("bad magic"), std::string::npos)
+        << error.what();
+  }
   std::filesystem::remove_all(dir);
+}
+
+/// A saved two-exchange store in a fresh directory.
+std::filesystem::path saved_store(const std::string& name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  RecordStore store;
+  store.add(make_exchange("http://a.test/1", kA, "one"));
+  store.add(make_exchange("http://a.test/2", kA, "two"));
+  store.save(dir);
+  return dir;
+}
+
+/// The saved file whose name starts with `prefix`.
+std::filesystem::path saved_file(const std::filesystem::path& dir,
+                                 const std::string& prefix) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      return entry.path();
+    }
+  }
+  ADD_FAILURE() << "no " << prefix << "* in " << dir;
+  return {};
+}
+
+/// load() throws SerializeError whose message names `file`.
+void expect_rejected(const std::filesystem::path& dir,
+                     const std::filesystem::path& file) {
+  try {
+    (void)RecordStore::load(dir);
+    ADD_FAILURE() << "load accepted " << dir;
+  } catch (const SerializeError& e) {
+    EXPECT_NE(std::string{e.what()}.find(file.filename().string()),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RecordStore, LoadRejectsADuplicateIndex) {
+  // save_01_<hash> is index 1 again: which exchange is "earliest recorded"
+  // would depend on the directory listing.
+  const auto dir = saved_store("mahi_store_duplicate");
+  const auto second = saved_file(dir, "save_1_");
+  const auto copy = dir / ("save_01_" + second.filename().string().substr(7));
+  std::filesystem::copy_file(second, copy);
+  expect_rejected(dir, copy);  // the message names both files
+}
+
+TEST(RecordStore, LoadRejectsAnUnparsableIndex) {
+  const auto dir = saved_store("mahi_store_bad_index");
+  const auto first = saved_file(dir, "save_0_");
+  const auto renamed = dir / ("save_x_" + first.filename().string().substr(7));
+  std::filesystem::rename(first, renamed);
+  expect_rejected(dir, renamed);
+}
+
+TEST(RecordStore, LoadRejectsAContentHashMismatch) {
+  // A valid exchange under another exchange's hash: it decodes fine, so
+  // only the name's hash can tell that the file is not what was saved.
+  const auto dir = saved_store("mahi_store_bad_hash");
+  const auto first = saved_file(dir, "save_0_");
+  const auto second = saved_file(dir, "save_1_");
+  std::filesystem::copy_file(
+      second, first, std::filesystem::copy_options::overwrite_existing);
+  expect_rejected(dir, first);
 }
 
 TEST(RecordStore, LoadIgnoresForeignFiles) {

@@ -13,12 +13,13 @@
 //     --bench-json PATH   also write mahimahi-bench-v1 perf rows
 //                         (CI uploads BENCH_experiment.json)
 //     --trace-dir DIR     record a full observability trace of every load
-//                         and write three artifacts per cell into DIR:
-//                         cell<i>.trace.json (Chrome trace-event, loadable
-//                         in Perfetto), cell<i>.har (HAR 1.2) and
-//                         cell<i>.csv (`mm_trace` input). Artifact
-//                         bytes are deterministic at any MAHI_THREADS and
-//                         across --shard splits.
+//                         and write one lossless cell<i>.csv per cell into
+//                         DIR (`mm_trace` input). `mm_trace export chrome
+//                         DIR/cell<i>.csv` renders the Chrome trace-event
+//                         JSON (loadable in Perfetto) and `mm_trace export
+//                         har` the HAR 1.2 from it. Trace bytes are
+//                         deterministic at any MAHI_THREADS and across
+//                         --shard splits.
 //     --metrics           derive per-cell metrics (counters, gauges,
 //                         log-bucketed histograms: queue residence, cwnd
 //                         convergence, retransmit bursts, PLT critical

@@ -6,9 +6,10 @@
 //   usage: mm_link_report <log-file> [bin-ms]
 //          mm_link_report --cc [controller ...]
 //
-// The --cc mode generates the log itself: it drives one bulk flow per
-// congestion controller (default: every registered one) across a
-// reference bottleneck (8 Mbit/s, 40 ms RTT, deep buffer), prints each
+// The --cc mode generates the log itself: it drives one 12 MB bulk flow
+// per congestion controller (default: every registered one) across a
+// reference bottleneck (8 Mbit/s, 40 ms RTT, a 54-packet droptail
+// buffer, two bandwidth-delay products), prints each
 // flow's transport endpoint state — controller name, final smoothed_rtt()
 // and cwnd_bytes(), pacing rate, retransmissions — and then the usual
 // link-log summary for the queue that flow built.
@@ -67,11 +68,11 @@ void print_summary(const LinkLogSummary& summary) {
 }
 
 int run_cc_flows(const std::vector<std::string>& controllers) {
-  BulkFlowSpec spec;  // defaults: 8 Mbit/s, 40 ms RTT, deep buffer, 3 MB
-  std::printf("reference bottleneck: %.0f Mbit/s, %lld ms RTT, deep buffer, "
-              "%.0f MB bulk flow per controller\n\n",
+  BulkFlowSpec spec;  // defaults: 8 Mbit/s, 40 ms RTT, 12 MB
+  std::printf("reference bottleneck: %.0f Mbit/s, %lld ms RTT, droptail "
+              "%zu packets, %.0f MB bulk flow per controller\n\n",
               spec.link_mbps, (long long)(2 * spec.one_way_delay / 1000),
-              static_cast<double>(spec.bytes) / 1e6);
+              kBulkFlowBufferPackets, static_cast<double>(spec.bytes) / 1e6);
   for (const std::string& controller : controllers) {
     if (!cc::is_registered(controller)) {
       std::fprintf(stderr, "error: '%s' is not a registered controller\n",

@@ -1,10 +1,11 @@
-// mm-trace: inspect, measure and compare the observability traces written
-// by mm_experiment --trace-dir (cell<i>.csv, format "mahimahi-obs-trace-v1")
-// and the journal's events.csv. Not to be confused with mm_trace_info,
-// which reports on *cellular rate traces* (packet-delivery schedules);
-// this tool reads *obs traces* — the per-load event/object/page streams
-// recorded by obs::Tracer. Parsing, metric derivation, the waterfall
-// renderer and the diff all live in obs/analyze.
+// mm-trace: inspect, measure, render and compare the observability traces
+// written by mm_experiment --trace-dir (cell<i>.csv, format
+// "mahimahi-obs-trace-v1") and the journal's events.csv. Not to be
+// confused with mm_trace_info, which reports on *cellular rate traces*
+// (packet-delivery schedules); this tool reads *obs traces* — the
+// per-load event/object/page streams recorded by obs::Tracer. Parsing,
+// metric derivation, the waterfall renderer and the diff all live in
+// obs/analyze; the Chrome and HAR views are obs/export's.
 //
 //   usage: mm_trace dump <cell.csv> [options]
 //     --layer NAME     only this layer (link, tcp, dns, fault, browser,
@@ -28,6 +29,12 @@
 //   snapshot byte for byte — the trace carries every field the derivation
 //   consumes.
 //
+//   usage: mm_trace export chrome|har <cell.csv>
+//   Renders a cell's Chrome trace-event JSON (load it in Perfetto or
+//   chrome://tracing) or its HAR 1.2 to stdout. The CSV is lossless for
+//   every field those views read, so the output is byte for byte what the
+//   exporters make of the in-run trace buffers.
+//
 //   usage: mm_trace diff <a> <b> [--max-deltas N]
 //   <a> and <b> are either two --trace-dir directories (every cell*.csv in
 //   each is loaded and cells are aligned by label) or two single cell
@@ -41,7 +48,7 @@
 //   A cell label present in only one run is itself a divergence.
 //
 // Exit status: dump 0 ok, 1 parse failure, 2 usage error;
-//              metrics 0 ok, 2 usage/load error;
+//              metrics and export 0 ok, 2 usage/load error;
 //              diff 0 identical, 1 divergent, 2 usage/load error.
 
 #include <algorithm>
@@ -215,6 +222,27 @@ int run_metrics(const Args& args) {
   return 0;
 }
 
+// ---- export -----------------------------------------------------------------
+
+int run_export(const Args& args) {
+  const std::string& view = args.positional[0];
+  if (view != "chrome" && view != "har") {
+    std::fprintf(stderr, "error: unknown view '%s' (want chrome or har)\n",
+                 view.c_str());
+    return 2;
+  }
+  const auto parsed = load_trace(args.positional[1]);
+  if (!parsed.has_value()) {
+    return 2;
+  }
+  const TraceMeta meta = to_trace_meta(*parsed);
+  const std::vector<LoadTrace> loads = to_load_traces(*parsed);
+  const std::string out = view == "chrome" ? to_chrome_trace(meta, loads)
+                                           : to_har(meta, loads);
+  std::fwrite(out.data(), 1, out.size(), stdout);
+  return 0;
+}
+
 // ---- diff -------------------------------------------------------------------
 
 /// Load one run: a directory of cell*.csv (sorted by filename so the order
@@ -364,6 +392,9 @@ int main(int argc, char** argv) {
       (args = parse_args(argc, argv, 1, {}, {"--csv"}))) {
     return run_metrics(*args);
   }
+  if (command == "export" && (args = parse_args(argc, argv, 2, {}, {}))) {
+    return run_export(*args);
+  }
   if (command == "diff" &&
       (args = parse_args(argc, argv, 2, {"--max-deltas"}, {}))) {
     return run_diff(*args);
@@ -372,7 +403,8 @@ int main(int argc, char** argv) {
                "usage: %s dump <cell.csv> [--layer NAME] [--stream N] "
                "[--load N] [--events] [--waterfall]\n"
                "       %s metrics <cell.csv> [--csv]\n"
+               "       %s export chrome|har <cell.csv>\n"
                "       %s diff <a> <b> [--max-deltas N]\n",
-               argv[0], argv[0], argv[0]);
+               argv[0], argv[0], argv[0], argv[0]);
   return 2;
 }
